@@ -292,7 +292,9 @@ class ServiceBackend(SweepBackend):
         try:
             status, envelope, headers = shard.client.submit(doc)
         except (ShardUnavailable, ShardProtocolError) as exc:
-            pending.append((time.monotonic(), spec))
+            # The shard may have journaled the job before its response was
+            # lost: the spec is stranded in flight like the shard's others.
+            shard.inflight[digest] = _Flight(spec)
             self._shard_down(shard, str(exc), pending)
             return
         if status == 429:

@@ -1,5 +1,5 @@
-"""The full memory system: per-core L1s, distributed shared L2, directory
-coherence, mesh NoC and DRAM, plus per-L1 prefetchers.
+"""The full memory system: per-core private caches, distributed shared last
+level, directory coherence, mesh NoC and DRAM, plus attached prefetchers.
 
 This is the component the cores talk to.  For every demand reference it
 returns the access latency, performing along the way all the side effects a
@@ -16,12 +16,16 @@ Idealised configurations of Section 5.4 are supported directly:
   which is exactly what makes *PerfPref* fall behind *Ideal* at high core
   counts in the paper (Section 2.2).
 
-The hierarchy *shape* is configurable (``SystemConfig.hierarchy``, a
+The hierarchy *shape* is ``config.resolved_hierarchy()`` (a
 :class:`~repro.sim.config.HierarchyConfig`): a chain of private per-core
 levels (arbitrarily deep; levels past the third account into dynamic
 ``lN_*`` counters) under one shared, distributed last level, with zero or
-more prefetchers attachable per level (``HierarchyConfig.attach``).  A
-private-level attachment is per-core and observes the access stream
+more prefetchers attachable per level (``HierarchyConfig.attach``).  The
+default ``hierarchy=None`` resolves to the paper's Table 1 shape — private
+L1s under a shared L2, the mode's prefetcher attached at the L1 — and is
+simulated by the same walk as every explicit chain.
+
+A private-level attachment is per-core and observes the access stream
 reaching its level; a shared-level attachment is per-slice — each slice of
 the distributed last level carries its own prefetcher instance observing
 the demand fetches that arrive at that slice, and its prefetches fill the
@@ -31,22 +35,14 @@ shorten that demand's latency).  Attachment points may name a registered
 prefetcher explicitly (hybrid stream@L1 + IMP@L2) or inherit the
 experiment mode's choice.
 
-The default (``hierarchy is None``) is the classic Table 1 shape —
-private L1s + shared L2, one mode-chosen prefetcher per L1 — and runs on
-the fully inlined fast path below; explicit hierarchies (a private L2, a
-shared L3, IMP attached at L2, multi-attach, ...) take the generalised
-``_access_extended`` walk, which reuses the same shared-level fetch,
-directory, NoC and DRAM machinery.  An explicit hierarchy with the classic
-geometry simulates bit-identically to the fast path, and a single-attach
-chain simulates bit-identically through the multi-attach walk (the
-determinism and equivalence suites assert both).
-
 Hot-path notes: cores call :meth:`MemorySystem.access_fast` with plain
-scalars (no :class:`MemRef` is built per dynamic reference); the
-object-based :meth:`MemorySystem.access` remains as a thin wrapper.  One
-:class:`AccessContext` per memory system is reused across prefetcher
-notifications, and cores whose prefetcher can never issue anything (the
-``NullPrefetcher`` baseline) skip the notification machinery entirely.
+scalars (no :class:`MemRef` is built per dynamic reference); the in-order
+core serves plain L1 hits itself (see
+:class:`repro.sim.core_model.InOrderCore`), so ``access_fast`` mostly sees
+L1 misses.  One :class:`AccessContext` per memory system is reused across
+prefetcher notifications, and attachments whose prefetcher can never issue
+anything (the ``NullPrefetcher`` baseline) skip the notification
+machinery entirely.
 """
 
 from __future__ import annotations
@@ -73,15 +69,26 @@ CONTROL_MESSAGE_BYTES = 8
 
 class _Attach:
     """One resolved prefetcher attachment: a bank of prefetcher instances
-    (per core for private levels, per slice for the shared level) plus the
-    precomputed notification gates the access walk consults."""
+    (per core for private levels, per slice for the shared level), the
+    caches they fill, and the precomputed per-instance gates the access
+    walk consults.
 
-    __slots__ = ("level_index", "prefetchers", "notify_enabled",
-                 "notify_hits", "has_on_fill", "has_on_eviction")
+    ``notify_enabled`` skips the whole AccessContext path for the "none"
+    baseline; ``notify_hits`` lets miss-stream-only prefetchers
+    (``observes_hits`` False, e.g. the classic GHB) keep cache hits
+    entirely core-local; ``has_on_fill`` marks the ``on_fill`` chaining
+    hook no stock prefetcher implements; ``has_on_eviction`` marks an
+    eviction observer (only IMP's granularity predictor)."""
 
-    def __init__(self, level_index: int,
+    __slots__ = ("level_index", "shared", "caches", "prefetchers",
+                 "notify_enabled", "notify_hits", "has_on_fill",
+                 "has_on_eviction")
+
+    def __init__(self, level_index: int, shared: bool, caches: List[Cache],
                  prefetchers: List[PrefetcherBase]) -> None:
         self.level_index = level_index
+        self.shared = shared
+        self.caches = caches
         self.prefetchers = prefetchers
         self.notify_enabled = [not _prefetcher_is_inert(p)
                                for p in prefetchers]
@@ -124,13 +131,9 @@ class MemorySystem:
                  "_mc_tiles", "_num_mcs", "l1", "l2", "directories",
                  "prefetchers", "line_size", "_line_shift", "_line_mask",
                  "_cores_pow2_mask", "_hit_latency", "_l2_hit_latency",
-                 "_l1_inline", "_l1_line_shift", "_l1_set_mask",
-                 "_l1_tag_shift", "_plain_hit", "_ret", "_has_on_fill",
-                 "_has_on_eviction",
-                 "_notify_enabled", "_notify_hits", "_ctx", "_extended",
-                 "_private_caches",
-                 "_private_latencies", "_pf_level", "_outermost_private",
-                 "_shared_pos", "_attaches", "_shared_attaches")
+                 "_ctx", "_private_caches", "_private_latencies",
+                 "_pf_level", "_outermost_private", "_shared_pos",
+                 "_attaches", "_shared_attaches")
 
     def __init__(self, config: SystemConfig, mem_image: Optional[MemoryImage] = None,
                  prefetcher_factory: Optional[PrefetcherFactory] = None,
@@ -149,8 +152,6 @@ class MemorySystem:
                               traffic=self.traffic)
         self._mc_tiles = config.memory_controller_tiles()
         self._num_mcs = len(self._mc_tiles)
-        hierarchy = config.hierarchy
-        self._extended = hierarchy is not None
         factory = prefetcher_factory or (lambda core_id: PrefetcherBase())
         if named_prefetcher_factory is None:
             # Attach entries that name a prefetcher explicitly resolve
@@ -158,80 +159,60 @@ class MemorySystem:
             # (System passes a resolver that also shares its IMP config).
             named_prefetcher_factory = (
                 lambda name: make_prefetcher_factory(name, self.mem_image))
-        if not self._extended:
-            # Classic Table 1 shape: private L1s + shared distributed L2.
-            # This is the hot configuration; it keeps the fully inlined
-            # access path below.
-            l1_cfg = config.l1d_effective
-            l2_cfg = config.l2_slice
-            self.l1 = [Cache(l1_cfg) for _ in range(n)]
-            self.l2 = [Cache(l2_cfg) for _ in range(n)]
-            self._private_caches = [self.l1]
-            self._private_latencies = [config.l1d.hit_latency]
-            self._pf_level = 0
-            self._outermost_private = 0
-            self._shared_pos = 2
-            self._attaches = ()
-            self._shared_attaches = ()
-            self.prefetchers: List[PrefetcherBase] = [factory(i)
-                                                      for i in range(n)]
-        else:
-            # Explicit hierarchy: a chain of private levels under one
-            # shared, distributed last level (see HierarchyConfig).  Built
-            # generically; accesses take _access_extended.
-            partial = config.partial_noc or config.partial_dram
-            privates = hierarchy.private_levels
-            shared = hierarchy.shared_level
-            private_attaches = hierarchy.private_attaches
-            #: Level index of the *primary* attachment (the innermost
-            #: private attach): the target of software prefetches and of
-            #: the public issue_prefetch API, and — under partial
-            #: accessing — the private level that gets sectored.
-            self._pf_level = (hierarchy.level_index(private_attaches[0].level)
-                              if private_attaches else 0)
-            self._outermost_private = len(privates) - 1
-            self._private_caches = []
-            self._private_latencies = []
-            for index, level in enumerate(privates):
-                sector = level.sector_size
-                if not sector and partial and index == self._pf_level:
-                    sector = config.l1_sector_size
-                level_cfg = level.cache_config(sector_size=sector)
-                self._private_caches.append(
-                    [Cache(level_cfg) for _ in range(n)])
-                self._private_latencies.append(level.hit_latency)
-            self.l1 = self._private_caches[0]
-            shared_sector = shared.sector_size or (
-                config.l2_sector_size if partial else 0)
-            l2_cfg = shared.cache_config(sector_size=shared_sector)
-            self.l2 = [Cache(l2_cfg) for _ in range(n)]
-            self._shared_pos = len(hierarchy.levels)
-            # One _Attach (a bank of prefetcher instances + notification
-            # gates) per attachment point.  Private banks are per-core;
-            # shared banks are per-slice.  ``private_attaches`` is already
-            # sorted inner-level-first, which fixes notification order.
-            def build_attach(spec, level_index):
-                make = (factory if spec.prefetcher is None
-                        else named_prefetcher_factory(spec.prefetcher))
-                return _Attach(level_index, [make(i) for i in range(n)])
+        # A chain of private levels under one shared, distributed last
+        # level (see HierarchyConfig).
+        hierarchy = config.resolved_hierarchy()
+        partial = config.partial_noc or config.partial_dram
+        privates = hierarchy.private_levels
+        shared = hierarchy.shared_level
+        private_attaches = hierarchy.private_attaches
+        #: Level index of the *primary* attachment (the innermost private
+        #: attach): the target of software prefetches and of the public
+        #: issue_prefetch API, and — under partial accessing — the private
+        #: level that gets sectored.
+        self._pf_level = (hierarchy.level_index(private_attaches[0].level)
+                          if private_attaches else 0)
+        self._outermost_private = len(privates) - 1
+        self._private_caches = []
+        self._private_latencies = []
+        for index, level in enumerate(privates):
+            sector = level.sector_size
+            if not sector and partial and index == self._pf_level:
+                sector = config.l1_sector_size
+            level_cfg = level.cache_config(sector_size=sector)
+            self._private_caches.append([Cache(level_cfg) for _ in range(n)])
+            self._private_latencies.append(level.hit_latency)
+        self.l1 = self._private_caches[0]
+        shared_sector = shared.sector_size or (
+            config.l2_sector_size if partial else 0)
+        l2_cfg = shared.cache_config(sector_size=shared_sector)
+        self.l2 = [Cache(l2_cfg) for _ in range(n)]
+        self._shared_pos = len(hierarchy.levels)
+        # One _Attach per attachment point.  Private banks are per-core;
+        # shared banks are per-slice.  ``private_attaches`` is already
+        # sorted inner-level-first, which fixes notification order.
+        def build_attach(spec):
+            level_index = hierarchy.level_index(spec.level)
+            shared_bank = level_index == len(privates)
+            make = (factory if spec.prefetcher is None
+                    else named_prefetcher_factory(spec.prefetcher))
+            return _Attach(level_index, shared_bank,
+                           (self.l2 if shared_bank
+                            else self._private_caches[level_index]),
+                           [make(i) for i in range(n)])
 
-            self._attaches = tuple(
-                build_attach(spec, hierarchy.level_index(spec.level))
-                for spec in private_attaches)
-            self._shared_attaches = tuple(
-                build_attach(spec, len(privates))
-                for spec in hierarchy.shared_attaches)
-            # Flat instance list (attach-major): what System introspects
-            # for IMP state; identical to the per-core list when a single
-            # private attachment exists (the pre-multi-attach layout).
-            self.prefetchers = [p for a in self._attaches
-                                for p in a.prefetchers]
-            self.prefetchers += [p for a in self._shared_attaches
-                                 for p in a.prefetchers]
-            l1_cfg = self._private_caches[0][0].config
+        self._attaches = tuple(build_attach(spec)
+                               for spec in private_attaches)
+        self._shared_attaches = tuple(build_attach(spec)
+                                      for spec in hierarchy.shared_attaches)
+        # Flat instance list (attach-major): what System introspects for
+        # IMP state; the per-core list when one private attachment exists.
+        self.prefetchers: List[PrefetcherBase] = [
+            p for a in self._attaches + self._shared_attaches
+            for p in a.prefetchers]
         self.directories = [Directory(tile, config.ackwise_pointers, self.traffic)
                             for tile in range(n)]
-        self.line_size = l1_cfg.line_size
+        self.line_size = l2_cfg.line_size
         # ----- hot-path precomputation ---------------------------------
         line_size = self.line_size
         if line_size > 0 and (line_size & (line_size - 1)) == 0:
@@ -243,61 +224,6 @@ class MemorySystem:
         self._cores_pow2_mask = (n - 1) if (n & (n - 1)) == 0 else None
         self._hit_latency = self._private_latencies[0]
         self._l2_hit_latency = l2_cfg.hit_latency
-        # All L1s share one geometry; when it is power-of-two and
-        # non-sectored (the default), the demand-hit lookup is inlined in
-        # access_fast (mirrors Cache.access_fast — keep the two in sync).
-        # Extended hierarchies always take the generic lookups.
-        sample_l1 = self.l1[0]
-        self._l1_inline = (not self._extended
-                           and sample_l1._tag_shift is not None
-                           and not sample_l1.sector_size)
-        self._l1_line_shift = sample_l1._line_shift
-        self._l1_set_mask = sample_l1._set_mask
-        self._l1_tag_shift = sample_l1._tag_shift
-        # Shared result tuple for the overwhelmingly common plain L1 hit
-        # (immutable, so safe to return repeatedly), plus one reusable
-        # result list for every other access_fast outcome — callers consume
-        # the latency/flags immediately (see access_fast's contract), so no
-        # per-access result tuple is allocated.
-        self._plain_hit = (self._hit_latency, True, False, False, 0.0)
-        self._ret = [0.0, False, False, False, 0.0]
-        # Per-core gating lists of the classic (single L1-attached
-        # prefetcher) path: on_fill is a chaining hook no stock prefetcher
-        # implements, on_eviction only feeds IMP's granularity predictor,
-        # _notify_enabled skips the whole AccessContext path for the
-        # "none" baseline, and _notify_hits lets miss-stream-only
-        # prefetchers (``observes_hits`` False, e.g. the classic GHB) keep
-        # cache hits entirely core-local.  Extended hierarchies carry the
-        # same gates per attachment (_Attach); the classic-named lists
-        # then alias the primary attachment's for the issue_prefetch /
-        # software_prefetch compatibility surface.
-        if not self._extended:
-            self._has_on_fill = [type(p).on_fill is not PrefetcherBase.on_fill
-                                 for p in self.prefetchers]
-            self._has_on_eviction = [
-                type(p).on_eviction is not PrefetcherBase.on_eviction
-                and getattr(p, "observes_evictions", True)
-                for p in self.prefetchers]
-            self._notify_enabled = [not _prefetcher_is_inert(p)
-                                    for p in self.prefetchers]
-            self._notify_hits = [
-                enabled and getattr(p, "observes_hits", True)
-                for enabled, p in zip(self._notify_enabled, self.prefetchers)]
-        else:
-            primary = (self._attaches[0] if self._attaches
-                       else (self._shared_attaches[0]
-                             if self._shared_attaches else None))
-            if primary is not None:
-                self._has_on_fill = primary.has_on_fill
-                self._has_on_eviction = primary.has_on_eviction
-                self._notify_enabled = primary.notify_enabled
-                self._notify_hits = primary.notify_hits
-            else:
-                disabled = [False] * n
-                self._has_on_fill = disabled
-                self._has_on_eviction = disabled
-                self._notify_enabled = disabled
-                self._notify_hits = disabled
         # One reusable AccessContext: fields are rebound per access instead
         # of allocating a context (plus a read_value closure) per reference.
         self._ctx = AccessContext(core_id=0, pc=0, addr=0, size=0,
@@ -351,132 +277,18 @@ class MemorySystem:
                     is_write: bool, now: float):
         """Scalar demand-access entry point (the hot path).
 
+        Walks the private levels inside-out, then fetches through the
+        shared last level (directory + NoC + DRAM).  Every attached
+        prefetcher observes the access stream reaching its level — an
+        attachment at level *i* sees the accesses that missed levels
+        0..i-1 (all of them at the L1) — and its prefetches install at its
+        level.  Attachments are notified inner levels first; shared-level
+        attachments observe slice-local fetches inside :meth:`_fetch_line`.
+
         Returns ``(latency, l1_hit, l2_hit, covered_by_prefetch,
         late_prefetch_cycles)``; core models read only the first two
         elements, so stand-in memory systems may return any indexable with
-        latency at [0] and the L1-hit flag at [1].  The returned indexable
-        may be a **reused scratch list** — callers must consume it before
-        the next access, never retain it.
-        """
-        if self._extended:
-            return self._access_extended(core_id, pc, addr, size, is_write,
-                                         now)
-        config = self.config
-        if config.ideal_memory:
-            if self._notify_hits[core_id]:
-                self._notify_prefetcher(core_id, pc, addr, size, is_write,
-                                        hit=True, now=now)
-            return self._hit_latency, True, False, False, 0.0
-
-        l1 = self.l1[core_id]
-        miss = False
-        covered = False
-        ready = 0.0
-        if self._l1_inline:
-            # Cache.access_fast, inlined for the shared power-of-two
-            # non-sectored L1 geometry (the hottest lines in the simulator);
-            # scalar locals instead of the (ready, was_prefetched) tuple.
-            l1.accesses += 1
-            way = l1._index[(addr >> self._l1_line_shift)
-                            & self._l1_set_mask].get(
-                                addr >> self._l1_tag_shift)
-            if way is None:
-                l1.misses += 1
-                miss = True
-            else:
-                l1.hits += 1
-                l1._last_use[way] = now
-                # (sector_touched is only consumed by the granularity
-                # predictor, which requires a sectored L1 — not this path.)
-                flags = l1._flags[way]
-                if is_write:
-                    flags |= 1          # FLAG_DIRTY
-                if flags & 2:           # FLAG_FROM_PREFETCH
-                    covered = not flags & 4  # FLAG_PREFETCH_REFERENCED
-                    l1._flags[way] = flags | 4
-                else:
-                    l1._flags[way] = flags
-                ready = l1._ready[way]
-        else:
-            hit = l1.access_fast(addr, size, is_write, now)
-            if hit is None:
-                miss = True
-            else:
-                ready, covered = hit
-        hit_latency = self._hit_latency
-
-        if not miss:
-            late = ready - now
-            if late > 0.0:
-                latency = hit_latency + late
-            else:
-                late = 0.0
-                latency = hit_latency
-            if covered:
-                core_stats = self.stats.cores[core_id]
-                core_stats.prefetch_covered_misses += 1
-                core_stats.prefetches_useful += 1
-                core_stats.prefetch_late_cycles += int(late)
-            if self._notify_hits[core_id]:
-                # _notify_prefetcher, inlined (hottest call site).
-                ctx = self._ctx
-                ctx.core_id = core_id
-                ctx.pc = pc
-                ctx.addr = addr
-                ctx.size = size
-                ctx.is_write = is_write
-                ctx.hit = True
-                ctx.now = now
-                requests = self.prefetchers[core_id].on_access(ctx)
-                if requests:
-                    self._issue_requests(core_id, requests, now)
-            if covered or late:
-                ret = self._ret
-                ret[0] = latency
-                ret[1] = True
-                ret[2] = False
-                ret[3] = covered
-                ret[4] = late
-                return ret
-            return self._plain_hit
-
-        # L1 miss: fetch the line through the shared L2 / DRAM.
-        issue_time = now
-        if config.perfect_prefetch:
-            issue_time = now - config.perfect_prefetch_lead
-        arrival, l2_hit = self._fetch_line(core_id, addr, issue_time,
-                                           is_write=is_write,
-                                           fetch_bytes=self.line_size,
-                                           sectors=None)
-        if l1.fill_fast(addr, now, arrival, False, is_write):
-            self._handle_l1_eviction(core_id, l1, now)
-        latency = hit_latency + max(0.0, arrival - now)
-        if self._notify_enabled[core_id]:
-            self._notify_prefetcher(core_id, pc, addr, size, is_write,
-                                    hit=False, now=now)
-        ret = self._ret
-        ret[0] = latency
-        ret[1] = False
-        ret[2] = l2_hit
-        ret[3] = False
-        ret[4] = 0.0
-        return ret
-
-    # ------------------------------------------------------------------
-    # Extended (explicit-hierarchy) demand path
-    # ------------------------------------------------------------------
-    def _access_extended(self, core_id: int, pc: int, addr: int, size: int,
-                         is_write: bool, now: float):
-        """Demand access through an explicit hierarchy chain.
-
-        Walks the private levels inside-out, then fetches through the
-        shared last level (directory + NoC + DRAM, the same path the
-        classic shape uses).  Every attached prefetcher observes the
-        access stream reaching its level — an attachment at level *i* sees
-        the accesses that missed levels 0..i-1 (all of them at the L1) —
-        and its prefetches install at its level.  Attachments are
-        notified inner levels first; shared-level attachments observe
-        slice-local fetches inside :meth:`_fetch_line`.
+        latency at [0] and the L1-hit flag at [1].
         """
         config = self.config
         attaches = self._attaches
@@ -503,12 +315,13 @@ class MemorySystem:
             if hit is not None:
                 hit_level = index
                 break
-            if index == 1:
-                core_stats.l2_misses += 1
-            elif index == 2:
-                core_stats.l3_misses += 1
-            elif index > 2:
-                core_stats.bump_level(index + 1, hit=False)
+            if index:     # (L1 misses are the core model's to count)
+                if index == 1:
+                    core_stats.l2_misses += 1
+                elif index == 2:
+                    core_stats.l3_misses += 1
+                else:
+                    core_stats.bump_level(index + 1, hit=False)
 
         if hit is not None:
             ready, covered = hit
@@ -517,12 +330,13 @@ class MemorySystem:
                 latency += late
             else:
                 late = 0.0
-            if hit_level == 1:
-                core_stats.l2_hits += 1
-            elif hit_level == 2:
-                core_stats.l3_hits += 1
-            elif hit_level > 2:
-                core_stats.bump_level(hit_level + 1, hit=True)
+            if hit_level:
+                if hit_level == 1:
+                    core_stats.l2_hits += 1
+                elif hit_level == 2:
+                    core_stats.l3_hits += 1
+                else:
+                    core_stats.bump_level(hit_level + 1, hit=True)
             if covered:
                 core_stats.prefetch_covered_misses += 1
                 core_stats.prefetches_useful += 1
@@ -569,67 +383,24 @@ class MemorySystem:
                                     is_write, hit=False, now=now)
         return latency, False, shared_hit, False, 0.0
 
-    def _handle_private_eviction(self, core_id: int, level_index: int,
-                                 now: float) -> None:
-        """Eviction from one private level of an explicit hierarchy.
-
-        The victim is described by the evicting cache's ``victim_*``
-        scratch fields (captured into locals first: cascading write-backs
-        below may evict again and overwrite deeper levels' scratch).
-
-        Outermost private evictions leave the core's domain: the line is
-        back-invalidated from every inner private level (the chain is
-        inclusive, and the directory tracks the outermost level — an inner
-        copy surviving the directory's ``evict`` would go stale), then the
-        directory is told and dirty lines ride the NoC to their home slice
-        of the shared level.  Inner evictions stay local: a dirty victim
-        is written back into the next private level (which may cascade).
-        """
-        cache = self._private_caches[level_index][core_id]
-        victim_addr = cache.victim_addr
-        victim_dirty = cache.victim_dirty
-        for attach in self._attaches:
-            if (attach.level_index == level_index
-                    and attach.has_on_eviction[core_id]):
-                attach.prefetchers[core_id].on_eviction(
-                    victim_addr, cache.victim_touched, now)
-        if level_index == self._outermost_private:
-            dirty = victim_dirty
-            for inner in range(level_index):
-                flags = self._private_caches[inner][core_id].invalidate_fast(
-                    victim_addr)
-                if flags is not None and flags & 1:   # FLAG_DIRTY
-                    dirty = True
-            home = self.home_tile(victim_addr)
-            self.directories[home].evict(self.line_addr(victim_addr), core_id)
-            if dirty:
-                self.noc.send_fast(core_id, home, self.line_size, now)
-                self.l2[home].fill_fast(victim_addr, now, now, False, True)
-            return
-        if victim_dirty:
-            if self._private_caches[level_index + 1][core_id].fill_fast(
-                    victim_addr, now, now, False, True):
-                self._handle_private_eviction(core_id, level_index + 1, now)
-
     # ------------------------------------------------------------------
     # Prefetch path
     # ------------------------------------------------------------------
     def issue_prefetch(self, core_id: int, request: PrefetchRequest,
-                       now: float) -> float:
-        """Issue one prefetch for ``core_id``; return its completion time.
+                       now: float, level: Optional[int] = None) -> float:
+        """Issue one prefetch for ``core_id`` into private level ``level``
+        (default: the primary attachment level, the L1 of the classic
+        shape); return its completion time.
 
         The prefetch does not stall the core; its cost is the NoC/DRAM
         traffic it generates and the capacity it occupies at its target
-        level (the L1 classically; the primary attachment level of an
-        explicit hierarchy — per-attachment issue goes through
-        :meth:`_issue_prefetch_level`).
+        level.
         """
         if self.config.ideal_memory:
             return now
-        if self._extended:
-            return self._issue_prefetch_level(core_id, request, now,
-                                              self._pf_level)
-        cache = self.l1[core_id]
+        if level is None:
+            level = self._pf_level
+        cache = self._private_caches[level][core_id]
         addr = request.addr
         # Inlined cache way lookup (most prefetches find the line already
         # resident).
@@ -662,56 +433,17 @@ class MemorySystem:
                                       fetch_bytes=noc_bytes,
                                       dram_bytes=dram_bytes,
                                       sectors=sectors)
-        if cache.fill_fast(addr, now, arrival, True, False, sectors):
-            self._handle_l1_eviction(core_id, cache, now)
-        return arrival
-
-    def _issue_prefetch_level(self, core_id: int, request: PrefetchRequest,
-                              now: float, pf_level: int) -> float:
-        """Issue one prefetch targeting private level ``pf_level`` of an
-        explicit hierarchy; return its completion time."""
-        if self.config.ideal_memory:
-            return now
-        cache = self._private_caches[pf_level][core_id]
-        addr = request.addr
-        if cache._tag_shift is not None:
-            way = cache._index[(addr >> cache._line_shift)
-                               & cache._set_mask].get(addr >> cache._tag_shift)
-        else:
-            way = cache._way_of(addr)
-        size = request.size
-        line_size = self.line_size
-        fetch_bytes = size if size < line_size else line_size
-        sectors = None
-        if cache.sector_size:
-            sectors = self._sector_mask_for_prefetch(cache, addr, fetch_bytes)
-        if way is not None:
-            if not cache.sector_size:
-                return now  # already resident, nothing to do
-            if (cache._sector_valid[way] & sectors) == sectors:
-                return now
-        core_stats = self.stats.cores[core_id]
-        core_stats.prefetches_issued += 1
-        if request.is_indirect:
-            core_stats.indirect_prefetches_issued += 1
-        else:
-            core_stats.stream_prefetches_issued += 1
-        noc_bytes = fetch_bytes if self.config.partial_noc else line_size
-        dram_bytes = fetch_bytes if self.config.partial_dram else line_size
-        arrival, _ = self._fetch_line(core_id, addr, now,
-                                      is_write=request.exclusive,
-                                      fetch_bytes=noc_bytes,
-                                      dram_bytes=dram_bytes,
-                                      sectors=sectors)
-        # Fill the target level and every private level outside it
-        # (outermost first): the chain is inclusive, and a line resident
+        # Fill every private level outside the target (outermost first),
+        # then the target: the chain is inclusive, and a line resident
         # only in an inner level would break the directory bookkeeping,
         # which tracks the outermost private level.
-        for level in range(self._outermost_private, pf_level - 1, -1):
-            level_sectors = sectors if level == pf_level else None
-            if self._private_caches[level][core_id].fill_fast(
-                    addr, now, arrival, True, False, level_sectors):
-                self._handle_private_eviction(core_id, level, now)
+        if level < self._outermost_private:
+            for outer in range(self._outermost_private, level, -1):
+                if self._private_caches[outer][core_id].fill_fast(
+                        addr, now, arrival, True, False):
+                    self._handle_private_eviction(core_id, outer, now)
+        if cache.fill_fast(addr, now, arrival, True, False, sectors):
+            self._handle_private_eviction(core_id, level, now)
         return arrival
 
     def _sector_mask_for_prefetch(self, l1: Cache, addr: int,
@@ -722,7 +454,7 @@ class MemorySystem:
         return l1.sector_mask(addr, fetch_bytes)
 
     # ------------------------------------------------------------------
-    # Shared fetch path (L1 miss or prefetch): L2 + directory + DRAM
+    # Shared fetch path (private miss or prefetch): L2 + directory + DRAM
     # ------------------------------------------------------------------
     def _fetch_line(self, core_id: int, addr: int, issue_time: float, *,
                     is_write: bool, fetch_bytes: int,
@@ -835,35 +567,62 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Evictions and write-backs
     # ------------------------------------------------------------------
-    def _handle_l1_eviction(self, core_id: int, cache, now: float) -> None:
-        """Handle the victim described by ``cache``'s scratch fields (read
-        into locals first — the write-back below fills the home L2 slice,
-        whose own scratch this must not confuse with the L1 victim's)."""
+    def _handle_private_eviction(self, core_id: int, level_index: int,
+                                 now: float) -> None:
+        """Eviction from one private level.
+
+        The victim is described by the evicting cache's ``victim_*``
+        scratch fields (captured into locals first: cascading write-backs
+        below may evict again and overwrite deeper levels' scratch, and the
+        write-back fills the home slice, whose own scratch this must not
+        confuse with the private victim's).
+
+        Outermost private evictions leave the core's domain: the line is
+        back-invalidated from every inner private level (the chain is
+        inclusive, and the directory tracks the outermost level — an inner
+        copy surviving the directory's ``evict`` would go stale), then the
+        directory is told and dirty lines ride the NoC to their home slice
+        of the shared level.  Inner evictions stay local: a dirty victim
+        is written back into the next private level (which may cascade).
+        """
+        cache = self._private_caches[level_index][core_id]
         victim_addr = cache.victim_addr
         victim_dirty = cache.victim_dirty
-        if self._has_on_eviction[core_id]:
-            self.prefetchers[core_id].on_eviction(victim_addr,
-                                                  cache.victim_touched, now)
-        # home_tile / line_addr, inlined for power-of-two geometries (this
-        # runs once per steady-state miss).
-        if self._line_shift is not None:
-            line = victim_addr & self._line_mask
-            line_no = victim_addr >> self._line_shift
-        else:
-            line = self.line_addr(victim_addr)
-            line_no = victim_addr // self.line_size
-        if self._cores_pow2_mask is not None:
-            home = line_no & self._cores_pow2_mask
-        else:
-            home = line_no % self.config.n_cores
-        self.directories[home].evict(line, core_id)
+        for attach in self._attaches:
+            if (attach.level_index == level_index
+                    and attach.has_on_eviction[core_id]):
+                attach.prefetchers[core_id].on_eviction(
+                    victim_addr, cache.victim_touched, now)
+        if level_index == self._outermost_private:
+            for inner in range(level_index):
+                flags = self._private_caches[inner][core_id].invalidate_fast(
+                    victim_addr)
+                if flags is not None and flags & 1:   # FLAG_DIRTY
+                    victim_dirty = True
+            # home_tile / line_addr, inlined for power-of-two geometries
+            # (this runs once per steady-state miss).
+            if self._line_shift is not None:
+                line = victim_addr & self._line_mask
+                line_no = victim_addr >> self._line_shift
+            else:
+                line = self.line_addr(victim_addr)
+                line_no = victim_addr // self.line_size
+            if self._cores_pow2_mask is not None:
+                home = line_no & self._cores_pow2_mask
+            else:
+                home = line_no % self.config.n_cores
+            self.directories[home].evict(line, core_id)
+            if victim_dirty:
+                # Write the dirty line back to its home slice.  (A dirty
+                # slice victim of this fill is dropped: the write-back path
+                # never charges nested shared-level evictions.)
+                self.noc.send_fast(core_id, home, self.line_size, now)
+                self.l2[home].fill_fast(victim_addr, now, now, False, True)
+            return
         if victim_dirty:
-            # Write the dirty line back to its home L2 slice.  (A dirty L2
-            # victim of this fill is dropped, as before the flat-column
-            # rewrite: the write-back path never charged nested L2
-            # evictions.)
-            self.noc.send_fast(core_id, home, self.line_size, now)
-            self.l2[home].fill_fast(victim_addr, now, now, False, True)
+            if self._private_caches[level_index + 1][core_id].fill_fast(
+                    victim_addr, now, now, False, True):
+                self._handle_private_eviction(core_id, level_index + 1, now)
 
     def _handle_l2_eviction(self, home: int, cache, now: float) -> None:
         for attach in self._shared_attaches:
@@ -886,63 +645,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Prefetcher plumbing
     # ------------------------------------------------------------------
-    def _notify_prefetcher(self, core_id: int, pc: int, addr: int, size: int,
-                           is_write: bool, hit: bool, now: float) -> None:
-        ctx = self._ctx
-        ctx.core_id = core_id
-        ctx.pc = pc
-        ctx.addr = addr
-        ctx.size = size
-        ctx.is_write = is_write
-        ctx.hit = hit
-        ctx.now = now
-        requests = self.prefetchers[core_id].on_access(ctx)
-        if requests:
-            self._issue_requests(core_id, requests, now)
-
-    def _issue_requests(self, core_id: int, requests: List[PrefetchRequest],
-                        now: float) -> None:
-        """Issue the requests of the classic (or primary-attach) prefetcher
-        — the compatibility surface core models bind to.  Per-attachment
-        issue on the extended walk goes through
-        :meth:`_issue_attach_requests`."""
-        issue_prefetch = self.issue_prefetch
-        if not self._has_on_fill[core_id]:
-            # Inline the already-resident early-out of issue_prefetch for
-            # the non-sectored target cache: a resident full-line request
-            # completes at its issue time with no other effect, and most
-            # generated requests are exactly that.
-            cache = (self._private_caches[self._pf_level][core_id]
-                     if self._extended else self.l1[core_id])
-            index = cache._index if not cache.sector_size else None
-            tag_shift = cache._tag_shift
-            previous_completion = now
-            for request in requests:
-                issue_at = (previous_completion
-                            if request.depends_on_previous else now)
-                if index is not None and tag_shift is not None:
-                    addr = request.addr
-                    if index[(addr >> cache._line_shift)
-                             & cache._set_mask].get(
-                                 addr >> tag_shift) is not None:
-                        previous_completion = issue_at
-                        continue
-                previous_completion = issue_prefetch(core_id, request,
-                                                     issue_at)
-            return
-        prefetcher = self.prefetchers[core_id]
-        previous_completion = now
-        for request in requests:
-            issue_at = previous_completion if request.depends_on_previous else now
-            completion = issue_prefetch(core_id, request, issue_at)
-            previous_completion = completion
-            follow_on = prefetcher.on_fill(request.addr, completion)
-            if follow_on:
-                self._issue_requests(core_id, follow_on, completion)
-
-    # ------------------------------------------------------------------
-    # Per-attachment plumbing (extended hierarchies)
-    # ------------------------------------------------------------------
     def _notify_attach(self, attach: _Attach, core_id: int, pc: int,
                        addr: int, size: int, is_write: bool, hit: bool,
                        now: float) -> None:
@@ -956,59 +658,8 @@ class MemorySystem:
         ctx.now = now
         requests = attach.prefetchers[core_id].on_access(ctx)
         if requests:
-            self._issue_attach_requests(attach, core_id, requests, now)
+            self._issue_bank_requests(attach, core_id, requests, now)
 
-    def _issue_attach_requests(self, attach: _Attach, core_id: int,
-                               requests: List[PrefetchRequest],
-                               now: float) -> None:
-        """:meth:`_issue_requests`, targeted at one private attachment."""
-        pf_level = attach.level_index
-        self._issue_bank_requests(
-            attach, core_id, self._private_caches[pf_level][core_id],
-            lambda request, issue_at: self._issue_prefetch_level(
-                core_id, request, issue_at, pf_level),
-            requests, now)
-
-    def _issue_bank_requests(self, attach: _Attach, owner: int, cache,
-                             issue, requests: List[PrefetchRequest],
-                             now: float) -> None:
-        """Shared issue loop of the attach/slice banks: resident-skip
-        early-out, ``depends_on_previous`` chaining, and ``on_fill``
-        follow-on requests, against ``cache`` via ``issue(request,
-        issue_at) -> completion``.  (The classic single-prefetcher path
-        keeps its own inlined copy in :meth:`_issue_requests` — it is the
-        hot one.)"""
-        if not attach.has_on_fill[owner]:
-            index = cache._index if not cache.sector_size else None
-            tag_shift = cache._tag_shift
-            previous_completion = now
-            for request in requests:
-                issue_at = (previous_completion
-                            if request.depends_on_previous else now)
-                if index is not None and tag_shift is not None:
-                    addr = request.addr
-                    if index[(addr >> cache._line_shift)
-                             & cache._set_mask].get(
-                                 addr >> tag_shift) is not None:
-                        previous_completion = issue_at
-                        continue
-                previous_completion = issue(request, issue_at)
-            return
-        prefetcher = attach.prefetchers[owner]
-        previous_completion = now
-        for request in requests:
-            issue_at = (previous_completion
-                        if request.depends_on_previous else now)
-            completion = issue(request, issue_at)
-            previous_completion = completion
-            follow_on = prefetcher.on_fill(request.addr, completion)
-            if follow_on:
-                self._issue_bank_requests(attach, owner, cache, issue,
-                                          follow_on, completion)
-
-    # ------------------------------------------------------------------
-    # Shared-level (per-slice) prefetcher plumbing
-    # ------------------------------------------------------------------
     def _notify_shared(self, home: int, pc: int, addr: int, size: int,
                        is_write: bool, hit: bool, now: float) -> None:
         """Notify the home slice's prefetchers of a demand fetch."""
@@ -1027,16 +678,53 @@ class MemorySystem:
             ctx.now = now
             requests = attach.prefetchers[home].on_access(ctx)
             if requests:
-                self._issue_shared_requests(attach, home, requests, now)
+                self._issue_bank_requests(attach, home, requests, now)
 
-    def _issue_shared_requests(self, attach: _Attach, home: int,
-                               requests: List[PrefetchRequest],
-                               now: float) -> None:
-        self._issue_bank_requests(
-            attach, home, self.l2[home],
-            lambda request, issue_at: self._issue_shared_prefetch(
-                home, request, issue_at),
-            requests, now)
+    def _issue_bank_requests(self, attach: _Attach, owner: int,
+                             requests: List[PrefetchRequest],
+                             now: float) -> None:
+        """Issue the requests one attachment's instance ``owner`` (a core,
+        or a slice of a shared bank) returned: ``depends_on_previous``
+        chaining and ``on_fill`` follow-on requests.  A request whose line
+        is already resident in a non-sectored target cache completes at its
+        issue time with no other effect — the early-out of the issue
+        routines — and most generated requests are exactly that, so it is
+        skipped here (except for ``on_fill`` prefetchers, which observe
+        every request)."""
+        cache = attach.caches[owner]
+        has_on_fill = attach.has_on_fill[owner]
+        index = None
+        if (not has_on_fill and not cache.sector_size
+                and cache._tag_shift is not None):
+            index = cache._index
+            line_shift = cache._line_shift
+            set_mask = cache._set_mask
+            tag_shift = cache._tag_shift
+        level = attach.level_index
+        shared = attach.shared
+        previous_completion = now
+        for request in requests:
+            issue_at = (previous_completion
+                        if request.depends_on_previous else now)
+            if index is not None:
+                addr = request.addr
+                if index[(addr >> line_shift) & set_mask].get(
+                        addr >> tag_shift) is not None:
+                    previous_completion = issue_at
+                    continue
+            if shared:
+                completion = self._issue_shared_prefetch(owner, request,
+                                                         issue_at)
+            else:
+                completion = self.issue_prefetch(owner, request, issue_at,
+                                                 level)
+            previous_completion = completion
+            if has_on_fill:
+                follow_on = attach.prefetchers[owner].on_fill(request.addr,
+                                                              completion)
+                if follow_on:
+                    self._issue_bank_requests(attach, owner, follow_on,
+                                              completion)
 
     def _issue_shared_prefetch(self, home: int, request: PrefetchRequest,
                                now: float) -> float:

@@ -478,8 +478,9 @@ class SystemConfig:
 
         Returns :attr:`hierarchy` when set; otherwise the classic Table 1
         chain — private L1s (``l1d``) under the shared, distributed L2
-        (``l2_slice``) — expressed as a :class:`HierarchyConfig`, so
-        introspection code can treat every configuration uniformly.
+        (``l2_slice``), the mode's prefetcher attached at ``l1`` —
+        expressed as a :class:`HierarchyConfig`.  The memory system is
+        built from this, so every configuration simulates on one walk.
         """
         if self.hierarchy is not None:
             return self.hierarchy

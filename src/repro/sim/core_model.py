@@ -73,7 +73,7 @@ class InOrderCore:
                  "_l1", "_l1_index", "_l1_ready", "_l1_last_use",
                  "_l1_flags", "_l1_line_shift", "_l1_set_mask",
                  "_l1_tag_shift", "_hit_latency", "_driver",
-                 "_notify_on_hit", "_prefetcher", "_pf_ctx",
+                 "_notify_on_hit", "_prefetcher", "_pf_ctx", "_pf_attach",
                  "_issue_requests", "_pf_skip_resident")
 
     def __init__(self, core_id: int, trace: Trace, memsys, stats: CoreStats,
@@ -95,25 +95,30 @@ class InOrderCore:
         self._lead = trace.lead
         self._length = len(trace.op)
         self._access = _fast_access_of(memsys)
-        # When the L1 geometry supports inlined probing, an L1 *hit* is
+        # When the L1 supports inlined probing (power-of-two, non-sectored,
+        # real memory) and carries at most one prefetcher, an L1 *hit* is
         # handled entirely inside the run loop — its only possible effect
-        # outside this core is the prefetch requests a hit notification may
-        # produce, and those are issued under this core's scheduling turn
-        # (see _drive).  Prefetchers that never observe hits (the "none"
-        # baseline, the classic GHB) skip the notification entirely.
-        # Misses always go through MemorySystem.access_fast.  (Must mirror
-        # access_fast's hit path exactly.)
+        # outside this core is the prefetch requests the L1 attachment's
+        # hit notification may produce, and those are issued under this
+        # core's scheduling turn (see _drive).  Attachments at deeper
+        # levels never see an L1 hit; prefetchers that never observe hits
+        # (the "none" baseline, the classic GHB) skip the notification
+        # entirely.  Everything else goes through MemorySystem.access_fast.
+        # (Must mirror Cache.access_fast's hit path exactly.)
         self._l1 = None
         self._notify_on_hit = False
         self._prefetcher = None
         self._pf_ctx = None
+        self._pf_attach = None
         self._issue_requests = None
         self._pf_skip_resident = False
-        notify_hits = getattr(memsys, "_notify_hits", None)
-        if (notify_hits is not None
-                and getattr(memsys, "_l1_inline", False)
+        attaches = getattr(memsys, "_attaches", None)
+        l1 = memsys.l1[core_id] if attaches is not None else None
+        l1_attaches = [attach for attach in attaches or ()
+                       if attach.level_index == 0]
+        if (l1 is not None and l1._tag_shift is not None
+                and not l1.sector_size and len(l1_attaches) <= 1
                 and not config.ideal_memory):
-            l1 = memsys.l1[core_id]
             self._l1 = l1
             # Flat-column L1 state, bound once (see repro.memory.cache):
             # the per-set {tag: way} index and the metadata columns.
@@ -125,12 +130,14 @@ class InOrderCore:
             self._l1_set_mask = l1._set_mask
             self._l1_tag_shift = l1._tag_shift
             self._hit_latency = memsys._hit_latency
-            if notify_hits[core_id]:
+            if l1_attaches and l1_attaches[0].notify_hits[core_id]:
+                attach = l1_attaches[0]
                 self._notify_on_hit = True
-                self._prefetcher = memsys.prefetchers[core_id]
+                self._prefetcher = attach.prefetchers[core_id]
                 self._pf_ctx = memsys._ctx
-                self._issue_requests = memsys._issue_requests
-                self._pf_skip_resident = not memsys._has_on_fill[core_id]
+                self._pf_attach = attach
+                self._issue_requests = memsys._issue_bank_requests
+                self._pf_skip_resident = not attach.has_on_fill[core_id]
         #: Lazily-created generator behind run_until_memory_access.
         self._driver = None
         # Statistic accumulators, flushed into ``stats`` by finish().
@@ -226,6 +233,7 @@ class InOrderCore:
             notify_on_hit = self._notify_on_hit
             prefetcher = self._prefetcher
             pf_ctx = self._pf_ctx
+            pf_attach = self._pf_attach
             issue_requests = self._issue_requests
             pf_skip_resident = self._pf_skip_resident
         #: Scheduling key of this core's next shared operation: its clock
@@ -274,7 +282,7 @@ class InOrderCore:
                     is_write = op != OP_LOAD
                     kind_code = aux_col[pos]
                     # L1 hit, handled entirely in the run loop (mirrors
-                    # MemorySystem.access_fast's hit path).
+                    # Cache.access_fast's hit path).
                     l1.accesses += 1
                     l1.hits += 1
                     l1_last_use[way] = time
@@ -303,10 +311,10 @@ class InOrderCore:
                         latency = (hit_latency + late if late > 0.0
                                    else hit_latency)
                     if notify_on_hit:
-                        # _notify_prefetcher, inlined: the prefetcher
-                        # observes the hit now (its state is core-local);
-                        # any prefetch requests it returns are shared work
-                        # and wait for this core's turn below.
+                        # The L1 attachment's prefetcher observes the hit
+                        # now (its state is core-local); any prefetch
+                        # requests it returns are shared work and wait for
+                        # this core's turn below.
                         pf_ctx.core_id = core_id
                         pf_ctx.pc = pc_col[pos]
                         pf_ctx.addr = addr
@@ -342,7 +350,8 @@ class InOrderCore:
                                     self._position = pos
                                     self.time = turn_time
                                     yield
-                                issue_requests(core_id, requests, time)
+                                issue_requests(pf_attach, core_id, requests,
+                                               time)
                                 turn_used = True
                     pos += 1
                     instructions += 1
@@ -382,8 +391,7 @@ class InOrderCore:
                 is_write = op != OP_LOAD
                 kind_code = aux_col[pos]
                 # access_fast returns a 5-indexable (2-tuple from
-                # adapters), possibly a reused scratch list; only latency
-                # and the L1-hit flag matter here, read immediately.
+                # adapters); only latency and the L1-hit flag matter here.
                 result = access(core_id, pc_col[pos], addr, size_col[pos],
                                 is_write, time)
                 latency = result[0]

@@ -198,6 +198,53 @@ class TestBackendEquivalence:
             for app in apps:
                 app.stop(drain_timeout=10.0)
 
+    def test_lost_submit_response_requeues_stranded_spec(self, reference,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # A shard that dies mid-response (e.g. IncompleteRead) may already
+        # have journaled the job: the spec is stranded in flight, requeued
+        # uncharged and counted, and finishes on the surviving shard.
+        from repro.experiments import backends
+        from repro.service import ServiceApp
+        from repro.service.client import ServiceClient, ShardUnavailable
+
+        doomed_url = "http://127.0.0.1:9"
+
+        class DyingClient:
+            submits = 0
+
+            def __init__(self, url):
+                self.url = url
+
+            def submit(self, doc):
+                DyingClient.submits += 1
+                raise ShardUnavailable(self.url, "IncompleteRead(0 bytes "
+                                                 "read)")
+
+        monkeypatch.setattr(
+            backends, "ServiceClient",
+            lambda url: (DyingClient(url) if url == doomed_url
+                         else ServiceClient(url)))
+        app = ServiceApp(tmp_path / "survivor", port=0, queue_depth=8)
+        app.start()
+        try:
+            specs, lookup = make_specs(2)
+            engine = SweepEngine(jobs=1, backend="service",
+                                 shards=[doomed_url, app.url])
+            results = engine.run(specs, workload_lookup=lookup.get)
+        finally:
+            app.stop(drain_timeout=10.0)
+        backend = engine.backend
+        assert DyingClient.submits == 1
+        assert backend.dead_shards == [doomed_url]
+        assert backend.requeued == 1
+        assert backend.fallback_specs == 0
+        assert backend.ingested == len(specs)
+        assert app.manager.simulations_run == len(specs)
+        assert fingerprints(results) == {
+            digest: fingerprint for digest, fingerprint in reference.items()
+            if digest in {spec.digest() for spec in specs}}
+
     def test_service_summary_counts_remote_work(self, reference, tmp_path):
         # The engine's simulations_run includes remote ingests, so the
         # CLI summary line stays truthful whichever backend ran.

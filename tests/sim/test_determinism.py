@@ -7,6 +7,7 @@ results depend on allocation order, dict iteration, caching, or wall-clock
 time shows up here as a diff.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.workloads.synthetic import IndirectStreamWorkload
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[1] / "data"
                / "mode_fingerprints.json")
+CLASSIC_GOLDEN_PATH = GOLDEN_PATH.with_name("classic_path_goldens.json")
 
 
 def snapshot(stats: SystemStats) -> dict:
@@ -179,9 +181,11 @@ def test_registry_modes_match_pre_refactor_fingerprints():
 
 def test_explicit_classic_hierarchy_matches_inlined_path():
     """An explicit (l1 private, l2 shared) HierarchyConfig with the classic
-    geometry must simulate bit-identically to the implicit fast path —
-    the strongest check that the generalised level chain implements the
-    same semantics the inlined classic code does."""
+    geometry must simulate bit-identically to what the retired inlined
+    ``hierarchy=None`` path produced — pinned as sha256 digests of
+    ``stats.to_dict()`` in tests/data/classic_path_goldens.json (see
+    tests/memory/test_attach_equivalence.py for the capture recipe)."""
+    golden = json.loads(CLASSIC_GOLDEN_PATH.read_text())["explicit_classic"]
     base = scaled_config(4)
     explicit = base.with_hierarchy(HierarchyConfig(levels=(
         LevelConfig(name="l1", size_bytes=base.l1d.size_bytes,
@@ -192,14 +196,13 @@ def test_explicit_classic_hierarchy_matches_inlined_path():
                     scope="shared", hit_latency=base.l2_slice.hit_latency),
     )))
     for prefetcher in ("none", "stream", "imp"):
-        classic = run_workload(
-            IndirectStreamWorkload(n_indices=1024, n_data=4096, seed=3),
-            base, prefetcher=prefetcher)
         generalised = run_workload(
             IndirectStreamWorkload(n_indices=1024, n_data=4096, seed=3),
             explicit, prefetcher=prefetcher)
-        assert snapshot(classic.stats) == snapshot(generalised.stats), \
-            f"extended-path divergence with prefetcher={prefetcher}"
+        stats_digest = hashlib.sha256(json.dumps(
+            generalised.stats.to_dict(), sort_keys=True).encode()).hexdigest()
+        assert stats_digest == golden[prefetcher], \
+            f"divergence from the inlined path with prefetcher={prefetcher}"
 
 
 def test_hybrid_mode_is_deterministic_and_multi_attach():
