@@ -292,6 +292,9 @@ class ServiceBackend(SweepBackend):
         try:
             status, envelope, headers = shard.client.submit(doc)
         except (ShardUnavailable, ShardProtocolError) as exc:
+            if (isinstance(exc, ShardProtocolError)
+                    and self._probe_lost_submit(shard, spec, pending)):
+                return
             # The shard may have journaled the job before its response was
             # lost: the spec is stranded in flight like the shard's others.
             shard.inflight[digest] = _Flight(spec)
@@ -343,6 +346,28 @@ class ServiceBackend(SweepBackend):
         self._charge(engine, spec, "error",
                      f"shard {shard.url} answered HTTP {status} to a "
                      f"job submission", attempts, pending, failures)
+
+    def _probe_lost_submit(self, shard: _Shard, spec: RunSpec,
+                           pending) -> bool:
+        """A shard answered a submit with something other than the JSON
+        envelope.  Ask it once about the job before declaring it down: a
+        job it knows stays in flight there, a job it never took (404) goes
+        back to the pending queue uncharged.  False when the probe fails
+        too, or answers neither way."""
+        digest = spec.digest()
+        try:
+            status, envelope, _ = shard.client.job(digest)
+        except (ShardUnavailable, ShardProtocolError):
+            return False
+        data = envelope.get("data") if envelope.get("ok") else None
+        if (status == 200 and isinstance(data, dict)
+                and data.get("id") == digest):
+            shard.inflight[digest] = _Flight(spec)
+            return True
+        if status == 404:
+            pending.append((time.monotonic(), spec))
+            return True
+        return False
 
     # ------------------------------------------------------------------
     def _poll(self, engine, shard: _Shard, attempts, pending, results,

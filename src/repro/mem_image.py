@@ -205,21 +205,21 @@ class MemoryImage:
         """Return the address of ``name[index]``."""
         return self._regions[name].spec.addr_of(index)
 
-    def addr_fn(self, name: str):
-        """Return a fast ``index -> address`` mapper for a registered array.
+    def addresses(self, name: str, indices) -> np.ndarray:
+        """Vectorised :meth:`addr_of`: the byte address of every element
+        of ``indices`` as an int64 array.
 
-        Produces the same addresses as :meth:`addr_of` but skips the
-        per-call registry lookup and bounds check; intended for the trace
-        generators, whose inner loops index within bounds by construction
-        and call this mapping once per emitted access.
+        Produces exactly the addresses ``ArraySpec.addr_of`` would, sub-byte
+        (bit vector) and multi-word (row) elements included; the trace
+        generators map whole index columns through it.
         """
         spec = self._regions[name].spec
-        base = spec.base
-        elem_size = spec.elem_size
-        if elem_size >= 1 and float(elem_size).is_integer():
-            elem_int = int(elem_size)
-            return lambda index: base + index * elem_int
-        return lambda index: base + int(index * elem_size)
+        index = np.asarray(indices, dtype=np.int64)
+        if index.size and (index.min() < 0 or index.max() >= spec.length):
+            raise IndexError(f"index out of range for array {spec.name!r}")
+        if spec.elem_size >= 1 and spec.elem_size.is_integer():
+            return spec.base + index * int(spec.elem_size)
+        return spec.base + (index * spec.elem_size).astype(np.int64)
 
     def find(self, addr: int) -> Optional[ArraySpec]:
         """Return the spec of the array containing ``addr``, if any."""

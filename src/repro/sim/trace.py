@@ -43,9 +43,12 @@ the row's own entry, so the object view is unchanged from the original
 representation.  ``len(trace)`` counts entries (not rows); ``num_rows`` has
 the row count.
 
-Summary counts (instruction count, memory references, per-kind reference
-counts) are maintained incrementally on append, so the per-core overhead
-accounting of Figure 10 no longer rescans the trace.
+Workload generators build a core's trace as whole numpy columns and hand
+them to :meth:`Trace.from_columns`, which derives the summary counts
+(instruction count, memory references, per-kind reference counts, entry
+count) from the columns once; the object-level ``append`` API keeps them
+up to date incrementally.  Either way the per-core overhead accounting of
+Figure 10 never rescans the trace.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ import enum
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Union
+
+import numpy as np
 
 
 class AccessKind(enum.Enum):
@@ -148,8 +153,48 @@ class Trace:
         if entries:
             self.extend(entries)
 
+    @classmethod
+    def from_columns(cls, core_id: int, op, pc, addr, size, aux,
+                     lead) -> "Trace":
+        """Bulk constructor: adopt six equal-length integer columns.
+
+        Each column may be a numpy array or any integer sequence.  The
+        summary counters are derived from the columns:
+
+        * instructions = the leads, plus one per load/store, ``1 + aux``
+          per software prefetch and ``aux`` per compute row;
+        * memory references = the load/store rows;
+        * per-kind counts = a bincount of ``aux`` over the load/store rows;
+        * entries = rows plus the rows with a nonzero lead.
+        """
+        columns = [np.ascontiguousarray(column, dtype=np.int64)
+                   for column in (op, pc, addr, size, aux, lead)]
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("trace columns differ in length")
+        op, _, _, _, aux, lead = columns
+        is_mem = (op == OP_LOAD) | (op == OP_STORE)
+        is_sw = op == OP_SW_PREFETCH
+        kinds = np.bincount(aux[is_mem], minlength=NUM_KINDS)
+        if len(kinds) > NUM_KINDS:
+            raise ValueError("unknown access kind code in the aux column")
+        trace = cls(core_id)
+        trace._instruction_count = int(
+            lead.sum() + is_mem.sum() + is_sw.sum() + aux[is_sw].sum()
+            + aux[op == OP_COMPUTE].sum())
+        trace._mem_ref_count = int(is_mem.sum())
+        trace._kind_counts = [int(count) for count in kinds]
+        trace._entry_count = len(op) + int(np.count_nonzero(lead))
+        for name, column in zip(("op", "pc", "addr", "size", "aux", "lead"),
+                                columns):
+            # Sized exactly (``frombytes`` over-allocates by 1/16), then
+            # filled with one copy of the column's bytes.
+            buffer = array("q", [0]) * len(column)
+            memoryview(buffer).cast("B")[:] = memoryview(column).cast("B")
+            setattr(trace, name, buffer)
+        return trace
+
     # ------------------------------------------------------------------
-    # Raw (columnar) appends — the hot path used by TraceBuilder
+    # Raw (columnar) appends
     # ------------------------------------------------------------------
     def append_compute(self, ops: int) -> None:
         self.op.append(OP_COMPUTE)
@@ -220,8 +265,21 @@ class Trace:
                          kind=KIND_BY_CODE[self.aux[row]])
 
     def entry_at(self, position: int) -> TraceEntry:
-        """Materialise the entry object at ``position`` (slow path)."""
-        return self.entries[position]
+        """Materialise the entry object at ``position`` (slow path).
+
+        Walks the rows, counting a row with a nonzero lead as two entries,
+        and builds only the objects of the row that holds ``position``.
+        """
+        if position < 0:
+            position += self._entry_count
+        if not 0 <= position < self._entry_count:
+            raise IndexError("trace entry index out of range")
+        for row, lead in enumerate(self.lead):
+            width = 2 if lead else 1
+            if position < width:
+                return list(self._row_entries(row))[position]
+            position -= width
+        raise IndexError("trace entry index out of range")
 
     @property
     def entries(self) -> List[TraceEntry]:
@@ -263,19 +321,18 @@ class Trace:
 
 
 class TraceBuilder:
-    """Convenience builder that coalesces consecutive compute operations.
+    """Per-row builder that coalesces consecutive compute operations.
 
-    The fluent API is unchanged from the object-per-entry design, so the
-    workload generators did not have to change.  Rows are buffered in plain
-    Python lists (the cheapest append available) and converted to the
-    trace's ``array('q')`` columns in one bulk pass at :meth:`build`;
-    pending compute ops are folded into the *lead* column of the next
-    memory-touching row.
+    Workload generators emit whole columns through
+    :meth:`Trace.from_columns`; this fluent per-row API remains for tests
+    and hand-written traces.  Rows are buffered in plain Python lists and
+    handed to :meth:`Trace.from_columns` at :meth:`build`, which derives
+    the summary counters; pending compute ops are folded into the *lead*
+    column of the next memory-touching row.
     """
 
     __slots__ = ("_core_id", "_pending_ops", "_op", "_pc", "_addr", "_size",
-                 "_aux", "_lead", "_instruction_count", "_mem_ref_count",
-                 "_kind_counts", "_entry_count", "_built")
+                 "_aux", "_lead", "_built")
 
     def __init__(self, core_id: int) -> None:
         self._core_id = core_id
@@ -286,10 +343,6 @@ class TraceBuilder:
         self._size: List[int] = []
         self._aux: List[int] = []
         self._lead: List[int] = []
-        self._instruction_count = 0
-        self._mem_ref_count = 0
-        self._kind_counts = [0] * NUM_KINDS
-        self._entry_count = 0
         self._built: Optional[Trace] = None
 
     def compute(self, ops: int = 1) -> "TraceBuilder":
@@ -304,74 +357,44 @@ class TraceBuilder:
 
     def _append_row(self, op: int, pc: int, addr: int, size: int,
                     aux: int) -> None:
+        """Append one row whose lead is the pending compute run."""
         if self._built is not None:
             raise RuntimeError("TraceBuilder is finished: build() was "
                                "already called, further entries would be "
                                "silently lost")
-        lead = self._pending_ops
-        if lead:
-            self._pending_ops = 0
-            self._entry_count += 1
         self._op.append(op)
         self._pc.append(pc)
         self._addr.append(addr)
         self._size.append(size)
         self._aux.append(aux)
-        self._lead.append(lead)
-        self._entry_count += 1
-        self._instruction_count += lead
+        self._lead.append(self._pending_ops)
+        self._pending_ops = 0
 
     def load(self, pc: int, addr: int, *, size: int = 8,
              kind: AccessKind = AccessKind.OTHER) -> "TraceBuilder":
         """Add a load instruction."""
-        kind_code = KIND_CODES[kind]
-        self._append_row(OP_LOAD, pc, addr, size, kind_code)
-        self._instruction_count += 1
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
+        self._append_row(OP_LOAD, pc, addr, size, KIND_CODES[kind])
         return self
 
     def store(self, pc: int, addr: int, *, size: int = 8,
               kind: AccessKind = AccessKind.OTHER) -> "TraceBuilder":
         """Add a store instruction."""
-        kind_code = KIND_CODES[kind]
-        self._append_row(OP_STORE, pc, addr, size, kind_code)
-        self._instruction_count += 1
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
+        self._append_row(OP_STORE, pc, addr, size, KIND_CODES[kind])
         return self
 
     def sw_prefetch(self, pc: int, addr: int, *, overhead_ops: int = 3) -> "TraceBuilder":
         """Add a software prefetch instruction."""
         self._append_row(OP_SW_PREFETCH, pc, addr, 0, overhead_ops)
-        self._instruction_count += 1 + overhead_ops
         return self
 
     def build(self) -> Trace:
         """Finish the trace and return it (idempotent)."""
-        if self._built is not None:
-            return self._built
-        if self._pending_ops:
-            # Trailing compute run gets its own row.
-            self._op.append(OP_COMPUTE)
-            self._pc.append(0)
-            self._addr.append(0)
-            self._size.append(0)
-            self._aux.append(self._pending_ops)
-            self._lead.append(0)
-            self._instruction_count += self._pending_ops
-            self._entry_count += 1
-            self._pending_ops = 0
-        trace = Trace(core_id=self._core_id)
-        trace.op = array("q", self._op)
-        trace.pc = array("q", self._pc)
-        trace.addr = array("q", self._addr)
-        trace.size = array("q", self._size)
-        trace.aux = array("q", self._aux)
-        trace.lead = array("q", self._lead)
-        trace._instruction_count = self._instruction_count
-        trace._mem_ref_count = self._mem_ref_count
-        trace._kind_counts = list(self._kind_counts)
-        trace._entry_count = self._entry_count
-        self._built = trace
-        return trace
+        if self._built is None:
+            if self._pending_ops:
+                # Trailing compute run gets its own row.
+                ops, self._pending_ops = self._pending_ops, 0
+                self._append_row(OP_COMPUTE, 0, 0, 0, ops)
+            self._built = Trace.from_columns(
+                self._core_id, self._op, self._pc, self._addr, self._size,
+                self._aux, self._lead)
+        return self._built

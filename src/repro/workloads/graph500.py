@@ -22,8 +22,21 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.graphs import CSRGraph, bfs_levels, power_law_graph
 
 
@@ -60,67 +73,70 @@ class Graph500Workload(Workload):
                         elem_size=1 / 8, length=self.n_vertices, writable=True)
         image.add_array("parent", np.full(self.n_vertices, -1, dtype=np.int32),
                         writable=True)
+        # BFS depth of every vertex (unreached ones lie beyond the last
+        # level).  The visited bits are set once per level, after the whole
+        # level is scanned, so while level L runs a neighbour is still
+        # unvisited exactly when its depth is beyond L.
+        depth = np.full(self.n_vertices, len(levels), dtype=np.int64)
+        for level_id, level in enumerate(levels):
+            depth[level] = level_id
+        # Each BFS level is split across the cores (level-synchronous BFS):
+        # a core's trace is its chunk of every level, in level order.
+        offsets = np.cumsum([0] + [len(level) for level in levels])
+        level_chunks = [self.partition(len(level), n_cores)
+                        for level in levels]
         traces: List[Trace] = []
-        builders = [TraceBuilder(core) for core in range(n_cores)]
-        visited = np.zeros(self.n_vertices, dtype=bool)
-        visited[0] = True
-        offset = 0
-        for level in levels:
-            # Each BFS level is split across the cores (level-synchronous BFS).
-            chunks = self.partition(len(level), n_cores)
-            for core_id, chunk in enumerate(chunks):
-                self._emit_level(builders[core_id], graph, image, level, chunk,
-                                 offset, visited, software_prefetch,
-                                 sw_prefetch_distance)
-            for vertex in level:
-                for neighbor in graph.neighbors(int(vertex)):
-                    visited[neighbor] = True
-            offset += len(level)
-        traces = [builder.build() for builder in builders]
+        for core_id in range(n_cores):
+            core_chunks = [chunks[core_id] for chunks in level_chunks]
+            frontier = np.concatenate(
+                [np.arange(offset + chunk.start, offset + chunk.stop)
+                 for offset, chunk in zip(offsets, core_chunks)])
+            level_of = np.repeat(np.arange(len(levels)),
+                                 [len(chunk) for chunk in core_chunks])
+            traces.append(self._core_trace(
+                core_id, graph, image, frontier, frontier_all[frontier],
+                depth, level_of, software_prefetch, sw_prefetch_distance))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces,
                              metadata={"vertices": self.n_vertices,
                                        "edges": graph.num_edges,
                                        "levels": len(levels)})
 
     # ------------------------------------------------------------------
-    def _emit_level(self, builder: TraceBuilder, graph: CSRGraph,
-                    image: MemoryImage, level: np.ndarray, chunk: range,
-                    offset: int, visited: np.ndarray, software_prefetch: bool,
-                    distance: int) -> None:
+    def _core_trace(self, core_id: int, graph: CSRGraph, image: MemoryImage,
+                    frontier: np.ndarray, vertices: np.ndarray,
+                    depth: np.ndarray, level_of: np.ndarray,
+                    software_prefetch: bool, distance: int) -> Trace:
         col_idx = graph.col_idx
-        row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        frontier_addr = image.addr_fn("frontier")
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        visited_addr = image.addr_fn("visited")
-        parent_addr = image.addr_fn("parent")
-        load = builder.load
-        compute = builder.compute
-        for position in chunk:
-            vertex = int(level[position])
-            frontier_index = offset + position
-            load(self.PC_FRONTIER, frontier_addr(frontier_index),
-                 size=4, kind=AccessKind.INDEX)
+        starts = graph.row_ptr[vertices]
+        lengths = graph.row_ptr[vertices + 1] - starts
+        owner, local = csr_expand(lengths)
+        j = starts[owner] + local
+        neighbor = col_idx[j]
+        discovered = depth[neighbor] > level_of[owner]
+        prefetch, ahead = prefetch_ahead(j + distance, starts[owner],
+                                         starts[owner] + lengths[owner],
+                                         software_prefetch)
+        head = loop_rows(
+            len(vertices),
+            load_row(self.PC_FRONTIER, image.addresses("frontier", frontier),
+                     AccessKind.INDEX, size=4),
             # Row pointer is indexed by the frontier *value*: an indirect
             # access whose own value positions the neighbour scan below.
-            load(self.PC_ROW_PTR, row_ptr_addr(vertex),
-                 kind=AccessKind.INDIRECT)
-            compute(2)
-            start = int(row_ptr[vertex])
-            end = int(row_ptr[vertex + 1])
-            for j in range(start, end):
-                neighbor = int(col_idx[j])
-                if software_prefetch and j + distance < end:
-                    target = int(col_idx[j + distance])
-                    builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                        visited_addr(target))
-                load(self.PC_COL_IDX, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_VISITED, visited_addr(neighbor),
-                     size=1, kind=AccessKind.INDIRECT)
-                compute(1)
-                if not visited[neighbor]:
-                    builder.store(self.PC_PARENT, parent_addr(neighbor),
-                                  size=4, kind=AccessKind.INDIRECT)
-                    compute(1)
+            load_row(self.PC_ROW_PTR, image.addresses("row_ptr", vertices),
+                     AccessKind.INDIRECT),
+            compute_row(2))
+        body = loop_rows(
+            len(j),
+            sw_prefetch_row(self.PC_SW_PREFETCH,
+                            image.addresses("visited", col_idx[ahead]),
+                            prefetch),
+            load_row(self.PC_COL_IDX, image.addresses("col_idx", j),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_VISITED, image.addresses("visited", neighbor),
+                     AccessKind.INDIRECT, size=1),
+            compute_row(1),
+            store_row(self.PC_PARENT, image.addresses("parent", neighbor),
+                      AccessKind.INDIRECT, size=4, keep=discovered),
+            compute_row(1, keep=discovered))
+        return trace_from_rows(core_id, nest_rows(
+            len(vertices), (3, head), (6 * lengths, body)))

@@ -102,13 +102,18 @@ def bfs_levels(graph: CSRGraph, root: int) -> List[np.ndarray]:
     frontier = np.array([root], dtype=np.int32)
     levels = [frontier]
     while len(frontier):
-        next_frontier: List[int] = []
-        for vertex in frontier:
-            for neighbor in graph.neighbors(int(vertex)):
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    next_frontier.append(int(neighbor))
-        frontier = np.array(next_frontier, dtype=np.int32)
+        # Every neighbour of the frontier in scan order; the next frontier
+        # is the unvisited ones, each at its first occurrence.
+        starts = graph.row_ptr[frontier]
+        lengths = graph.row_ptr[frontier + 1] - starts
+        first = np.cumsum(lengths) - lengths
+        edges = (np.arange(int(lengths.sum()))
+                 + np.repeat(starts - first, lengths))
+        fresh = graph.col_idx[edges]
+        fresh = fresh[~visited[fresh]]
+        _, first_seen = np.unique(fresh, return_index=True)
+        frontier = fresh[np.sort(first_seen)].astype(np.int32)
+        visited[frontier] = True
         if len(frontier):
             levels.append(frontier)
     return levels

@@ -22,8 +22,20 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 
 
 class LSHWorkload(Workload):
@@ -84,34 +96,37 @@ class LSHWorkload(Workload):
     def _core_trace(self, core_id: int, queries: range, candidates: np.ndarray,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        # Hoisted address mappers and builder methods (hot generator loop).
-        queries_addr = image.addr_fn("queries")
-        bucket_ptr_addr = image.addr_fn("bucket_ptr")
-        candidates_addr = image.addr_fn("candidates")
-        dataset_addr = image.addr_fn("dataset")
-        load = builder.load
-        compute = builder.compute
-        for query in queries:
-            load(self.PC_QUERY, queries_addr(query),
-                 size=16, kind=AccessKind.STREAM)
-            compute(8)                    # hash the query for every table
-            for table in range(self.n_tables):
-                bucket = query * self.n_tables + table
-                start = bucket * self.bucket_size
-                end = start + self.bucket_size
-                load(self.PC_BUCKET_PTR, bucket_ptr_addr(bucket),
-                     kind=AccessKind.STREAM)
-                compute(2)
-                for k in range(start, end):
-                    candidate = int(candidates[k])
-                    if software_prefetch and k + distance < end:
-                        target = int(candidates[k + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            dataset_addr(target))
-                    load(self.PC_CANDIDATE, candidates_addr(k),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_DATASET, dataset_addr(candidate),
-                         size=16, kind=AccessKind.INDIRECT)
-                    compute(6)            # distance computation
-        return builder.build()
+        # One outer iteration per (query, table) bucket, in loop order; the
+        # query itself is loaded and hashed ahead of its first table.
+        query, table = (axis.reshape(-1) for axis in np.meshgrid(
+            np.arange(queries.start, queries.stop),
+            np.arange(self.n_tables), indexing="ij"))
+        bucket = query * self.n_tables + table
+        first_table = table == 0
+        owner, local = csr_expand(np.full(len(bucket), self.bucket_size))
+        start = bucket[owner] * self.bucket_size
+        k = start + local
+        prefetch, ahead = prefetch_ahead(k + distance, start,
+                                         start + self.bucket_size,
+                                         software_prefetch)
+        head = loop_rows(
+            len(bucket),
+            load_row(self.PC_QUERY, image.addresses("queries", query),
+                     AccessKind.STREAM, size=16, keep=first_table),
+            compute_row(8, keep=first_table),  # hash the query for every table
+            load_row(self.PC_BUCKET_PTR,
+                     image.addresses("bucket_ptr", bucket), AccessKind.STREAM),
+            compute_row(2))
+        body = loop_rows(
+            len(k),
+            sw_prefetch_row(self.PC_SW_PREFETCH,
+                            image.addresses("dataset", candidates[ahead]),
+                            prefetch),
+            load_row(self.PC_CANDIDATE, image.addresses("candidates", k),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_DATASET,
+                     image.addresses("dataset", candidates[k]),
+                     AccessKind.INDIRECT, size=16),
+            compute_row(6))             # distance computation
+        return trace_from_rows(core_id, nest_rows(
+            len(bucket), (4, head), (4 * self.bucket_size, body)))

@@ -20,8 +20,21 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.graphs import CSRGraph, power_law_graph
 
 
@@ -73,39 +86,39 @@ class PagerankWorkload(Workload):
     def _core_trace(self, core_id: int, vertices: range, graph: CSRGraph,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
         col_idx = graph.col_idx
-        row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        rank_addr = image.addr_fn("rank")
-        degree_addr = image.addr_fn("out_degree")
-        new_rank_addr = image.addr_fn("new_rank")
-        load = builder.load
-        compute = builder.compute
-        for _ in range(self.iterations):
-            for vertex in vertices:
-                start = int(row_ptr[vertex])
-                end = int(row_ptr[vertex + 1])
-                # Row bounds: streaming loads of the row-pointer array.
-                load(self.PC_ROW_PTR, row_ptr_addr(vertex),
-                     kind=AccessKind.STREAM)
-                compute(2)
-                for edge in range(start, end):
-                    neighbor = int(col_idx[edge])
-                    if software_prefetch and edge + distance < end:
-                        target = int(col_idx[edge + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            rank_addr(target))
-                    load(self.PC_COL_IDX, col_idx_addr(edge),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_RANK, rank_addr(neighbor),
-                         kind=AccessKind.INDIRECT)
-                    load(self.PC_DEGREE, degree_addr(neighbor),
-                         size=4, kind=AccessKind.INDIRECT)
-                    compute(3)            # divide and accumulate
-                builder.store(self.PC_STORE, new_rank_addr(vertex),
-                              kind=AccessKind.STREAM)
-                compute(2)
-        return builder.build()
+        vertices = np.tile(np.arange(vertices.start, vertices.stop),
+                           self.iterations)
+        starts = graph.row_ptr[vertices]
+        lengths = graph.row_ptr[vertices + 1] - starts
+        owner, local = csr_expand(lengths)
+        edge = starts[owner] + local
+        neighbor = col_idx[edge]
+        prefetch, ahead = prefetch_ahead(edge + distance, starts[owner],
+                                         starts[owner] + lengths[owner],
+                                         software_prefetch)
+        # Row bounds: streaming loads of the row-pointer array.
+        head = loop_rows(
+            len(vertices),
+            load_row(self.PC_ROW_PTR, image.addresses("row_ptr", vertices),
+                     AccessKind.STREAM),
+            compute_row(2))
+        body = loop_rows(
+            len(edge),
+            sw_prefetch_row(self.PC_SW_PREFETCH,
+                            image.addresses("rank", col_idx[ahead]),
+                            prefetch),
+            load_row(self.PC_COL_IDX, image.addresses("col_idx", edge),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_RANK, image.addresses("rank", neighbor),
+                     AccessKind.INDIRECT),
+            load_row(self.PC_DEGREE, image.addresses("out_degree", neighbor),
+                     AccessKind.INDIRECT, size=4),
+            compute_row(3))             # divide and accumulate
+        tail = loop_rows(
+            len(vertices),
+            store_row(self.PC_STORE, image.addresses("new_rank", vertices),
+                      AccessKind.STREAM),
+            compute_row(2))
+        return trace_from_rows(core_id, nest_rows(
+            len(vertices), (2, head), (5 * lengths, body), (2, tail)))

@@ -16,8 +16,17 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    load_row,
+    loop_rows,
+    pc_of,
+    store_row,
+    trace_from_rows,
+)
 
 
 class DenseStencilWorkload(Workload):
@@ -52,29 +61,25 @@ class DenseStencilWorkload(Workload):
         traces: List[Trace] = []
         interior = range(1, self.rows - 1)
         chunks = self.partition(len(interior), n_cores)
-        grid_addr = image.addr_fn("grid")
-        out_addr = image.addr_fn("out")
+        cols = np.arange(1, self.cols - 1)
+        stream = AccessKind.STREAM
         for core_id, chunk in enumerate(chunks):
-            builder = TraceBuilder(core_id)
-            load = builder.load
-            for offset in chunk:
-                row = 1 + offset
-                for col in range(1, self.cols - 1):
-                    index = row * self.cols + col
-                    load(self.PC_CENTER, grid_addr(index),
-                         kind=AccessKind.STREAM)
-                    load(self.PC_NORTH, grid_addr(index - self.cols),
-                         kind=AccessKind.STREAM)
-                    load(self.PC_SOUTH, grid_addr(index + self.cols),
-                         kind=AccessKind.STREAM)
-                    load(self.PC_WEST, grid_addr(index - 1),
-                         kind=AccessKind.STREAM)
-                    load(self.PC_EAST, grid_addr(index + 1),
-                         kind=AccessKind.STREAM)
-                    builder.compute(5)
-                    builder.store(self.PC_STORE, out_addr(index),
-                                  kind=AccessKind.STREAM)
-            traces.append(builder.build())
+            rows = 1 + np.arange(chunk.start, chunk.stop)
+            index = (rows[:, None] * self.cols + cols).reshape(-1)
+
+            def grid(offset):
+                return image.addresses("grid", index + offset)
+
+            traces.append(trace_from_rows(core_id, loop_rows(
+                len(index),
+                load_row(self.PC_CENTER, grid(0), stream),
+                load_row(self.PC_NORTH, grid(-self.cols), stream),
+                load_row(self.PC_SOUTH, grid(self.cols), stream),
+                load_row(self.PC_WEST, grid(-1), stream),
+                load_row(self.PC_EAST, grid(1), stream),
+                compute_row(5),
+                store_row(self.PC_STORE, image.addresses("out", index),
+                          stream))))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces,
                              metadata={"rows": self.rows, "cols": self.cols})
 
@@ -110,38 +115,34 @@ class BlockedMatMulWorkload(Workload):
         image.add_array("mat_c", np.zeros(self.size * self.size,
                                           dtype=np.float64), writable=True)
         blocks_per_dim = self.size // self.block
-        block_rows = range(blocks_per_dim)
+        block = np.arange(self.block)
+        stream = AccessKind.STREAM
         traces: List[Trace] = []
         for core_id, chunk in enumerate(self.partition(blocks_per_dim, n_cores)):
-            builder = TraceBuilder(core_id)
-            for bi in chunk:
-                for bj in range(blocks_per_dim):
-                    for bk in range(blocks_per_dim):
-                        self._emit_block(builder, image, bi, bj, bk)
-            traces.append(builder.build())
+            # One iteration per (bi, bj, bk, i, j), in loop order; the k
+            # loop (stepping by two through the block) is unrolled into the
+            # iteration's row template.
+            bi, bj, bk, i, j = (axis.reshape(-1) for axis in np.meshgrid(
+                np.arange(chunk.start, chunk.stop),
+                np.arange(blocks_per_dim), np.arange(blocks_per_dim),
+                block, block, indexing="ij"))
+            i = bi * self.block + i
+            j = bj * self.block + j
+            c_addr = image.addresses("mat_c", i * self.size + j)
+            template = [load_row(self.PC_C_LOAD, c_addr, stream)]
+            for step in range(0, self.block, 2):
+                k = bk * self.block + step
+                template += [
+                    load_row(self.PC_A, image.addresses(
+                        "mat_a", i * self.size + k), stream),
+                    load_row(self.PC_B, image.addresses(
+                        "mat_b", k * self.size + j), stream),
+                    compute_row(4)]
+            template.append(store_row(self.PC_C_STORE, c_addr, stream))
+            traces.append(trace_from_rows(core_id,
+                                          loop_rows(len(i), *template)))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces,
                              metadata={"size": self.size, "block": self.block})
-
-    def _emit_block(self, builder: TraceBuilder, image: MemoryImage,
-                    bi: int, bj: int, bk: int) -> None:
-        base_i, base_j, base_k = (bi * self.block, bj * self.block,
-                                  bk * self.block)
-        a_addr = image.addr_fn("mat_a")
-        b_addr = image.addr_fn("mat_b")
-        c_addr = image.addr_fn("mat_c")
-        load = builder.load
-        for i in range(base_i, base_i + self.block):
-            for j in range(base_j, base_j + self.block):
-                c_index = i * self.size + j
-                load(self.PC_C_LOAD, c_addr(c_index), kind=AccessKind.STREAM)
-                for k in range(base_k, base_k + self.block, 2):
-                    load(self.PC_A, a_addr(i * self.size + k),
-                         kind=AccessKind.STREAM)
-                    load(self.PC_B, b_addr(k * self.size + j),
-                         kind=AccessKind.STREAM)
-                    builder.compute(4)
-                builder.store(self.PC_C_STORE, c_addr(c_index),
-                              kind=AccessKind.STREAM)
 
 
 class StridedCopyWorkload(Workload):
@@ -169,21 +170,16 @@ class StridedCopyWorkload(Workload):
         image.add_array("dst", np.zeros(self.n_elements, dtype=np.float64),
                         writable=True)
         traces: List[Trace] = []
-        per_core = self.n_elements // max(1, n_cores)
-        src_addr = image.addr_fn("src")
-        dst_addr = image.addr_fn("dst")
         for core_id, chunk in enumerate(self.partition(self.n_elements, n_cores)):
-            builder = TraceBuilder(core_id)
-            positions = list(chunk)
-            for destination, position in enumerate(positions):
-                source = (position * self.stride) % self.n_elements
-                builder.load(self.PC_LOAD, src_addr(source),
-                             kind=AccessKind.STREAM)
-                builder.store(self.PC_STORE,
-                              dst_addr(chunk.start + destination),
-                              kind=AccessKind.STREAM)
-                builder.compute(1)
-            traces.append(builder.build())
+            positions = np.arange(chunk.start, chunk.stop)
+            source = (positions * self.stride) % self.n_elements
+            traces.append(trace_from_rows(core_id, loop_rows(
+                len(positions),
+                load_row(self.PC_LOAD, image.addresses("src", source),
+                         AccessKind.STREAM),
+                store_row(self.PC_STORE, image.addresses("dst", positions),
+                          AccessKind.STREAM),
+                compute_row(1))))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces,
                              metadata={"stride": self.stride})
 

@@ -26,8 +26,19 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    load_row,
+    loop_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.sparse import ratings_matrix
 
 
@@ -87,40 +98,31 @@ class SGDWorkload(Workload):
     def _core_trace(self, core_id: int, ratings: range, users: np.ndarray,
                     items: np.ndarray, image: MemoryImage,
                     software_prefetch: bool, distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        end = ratings.stop
-        # Hoisted address mappers and builder methods (hot generator loop).
-        rating_user_addr = image.addr_fn("rating_user")
-        rating_item_addr = image.addr_fn("rating_item")
-        rating_value_addr = image.addr_fn("rating_value")
-        user_feat_addr = image.addr_fn("user_feat")
-        item_feat_addr = image.addr_fn("item_feat")
-        load = builder.load
-        store = builder.store
-        for k in ratings:
-            user = int(users[k])
-            item = int(items[k])
-            if software_prefetch and k + distance < end:
-                builder.sw_prefetch(self.PC_SW_PREFETCH_U,
-                                    user_feat_addr(int(users[k + distance])))
-                builder.sw_prefetch(self.PC_SW_PREFETCH_I,
-                                    item_feat_addr(int(items[k + distance])))
-            load(self.PC_RATING_USER, rating_user_addr(k),
-                 size=4, kind=AccessKind.INDEX)
-            load(self.PC_RATING_ITEM, rating_item_addr(k),
-                 size=4, kind=AccessKind.INDEX)
-            load(self.PC_RATING_VALUE, rating_value_addr(k),
-                 kind=AccessKind.STREAM)
-            load(self.PC_USER_FEAT, user_feat_addr(user),
-                 size=16, kind=AccessKind.INDIRECT)
-            load(self.PC_ITEM_FEAT, item_feat_addr(item),
-                 size=16, kind=AccessKind.INDIRECT)
+        k = np.arange(ratings.start, ratings.stop)
+        prefetch, ahead = prefetch_ahead(k + distance, ratings.start,
+                                         ratings.stop, software_prefetch)
+        user_feat = image.addresses("user_feat", users[k])
+        item_feat = image.addresses("item_feat", items[k])
+        indirect = AccessKind.INDIRECT
+        return trace_from_rows(core_id, loop_rows(
+            len(k),
+            sw_prefetch_row(self.PC_SW_PREFETCH_U,
+                            image.addresses("user_feat", users[ahead]),
+                            prefetch),
+            sw_prefetch_row(self.PC_SW_PREFETCH_I,
+                            image.addresses("item_feat", items[ahead]),
+                            prefetch),
+            load_row(self.PC_RATING_USER, image.addresses("rating_user", k),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_RATING_ITEM, image.addresses("rating_item", k),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_RATING_VALUE,
+                     image.addresses("rating_value", k), AccessKind.STREAM),
+            load_row(self.PC_USER_FEAT, user_feat, indirect, size=16),
+            load_row(self.PC_ITEM_FEAT, item_feat, indirect, size=16),
             # Dot product, error computation and least-squares update: the
             # compute-heavy part that makes SGD compute-bound.
-            builder.compute(20)
-            store(self.PC_USER_STORE, user_feat_addr(user),
-                  size=16, kind=AccessKind.INDIRECT)
-            store(self.PC_ITEM_STORE, item_feat_addr(item),
-                  size=16, kind=AccessKind.INDIRECT)
-            builder.compute(4)
-        return builder.build()
+            compute_row(20),
+            store_row(self.PC_USER_STORE, user_feat, indirect, size=16),
+            store_row(self.PC_ITEM_STORE, item_feat, indirect, size=16),
+            compute_row(4)))

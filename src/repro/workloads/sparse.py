@@ -10,7 +10,7 @@ indirectly through the column array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,29 +38,22 @@ class CSRMatrix:
 
 def stencil_27pt(nx: int, ny: int, nz: int, seed: int = 1) -> CSRMatrix:
     """HPCG-style 27-point stencil matrix on an ``nx x ny x nz`` grid."""
-    rng = np.random.default_rng(seed)
-    n = nx * ny * nz
-    rows: List[int] = [0]
-    cols: List[int] = []
-    vals: List[float] = []
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                count = 0
-                for dz in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dx in (-1, 0, 1):
-                            cx, cy, cz = x + dx, y + dy, z + dz
-                            if 0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz:
-                                col = cx + cy * nx + cz * nx * ny
-                                cols.append(col)
-                                row = x + y * nx + z * nx * ny
-                                vals.append(26.0 if col == row else -1.0)
-                                count += 1
-                rows.append(rows[-1] + count)
-    return CSRMatrix(row_ptr=np.array(rows, dtype=np.int64),
-                     col_idx=np.array(cols, dtype=np.int32),
-                     values=np.array(vals, dtype=np.float64))
+    # Rows in grid order (x fastest), each row's neighbours in offset
+    # order (dx fastest), out-of-grid neighbours dropped.
+    z, y, x = (axis.reshape(-1, 1) for axis in np.meshgrid(
+        np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"))
+    dz, dy, dx = (axis.reshape(1, -1) for axis in np.meshgrid(
+        (-1, 0, 1), (-1, 0, 1), (-1, 0, 1), indexing="ij"))
+    cx, cy, cz = x + dx, y + dy, z + dz
+    inside = ((0 <= cx) & (cx < nx) & (0 <= cy) & (cy < ny)
+              & (0 <= cz) & (cz < nz))
+    cols = cx + cy * nx + cz * nx * ny
+    rows = x + y * nx + z * nx * ny
+    row_ptr = np.zeros(nx * ny * nz + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=row_ptr[1:])
+    return CSRMatrix(row_ptr=row_ptr,
+                     col_idx=cols[inside].astype(np.int32),
+                     values=np.where(cols == rows, 26.0, -1.0)[inside])
 
 
 def random_sparse(num_rows: int, num_cols: int, nnz_per_row: int,

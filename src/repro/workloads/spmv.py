@@ -19,8 +19,21 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.sparse import CSRMatrix, stencil_27pt
 
 
@@ -97,32 +110,34 @@ class SpMVWorkload(Workload):
     def _core_trace(self, core_id: int, rows: range, matrix: CSRMatrix,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
         col_idx = matrix.col_idx
-        row_ptr = matrix.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        values_addr = image.addr_fn("values")
-        vec_addr = image.addr_fn("vec")
-        result_addr = image.addr_fn("result")
-        load = builder.load
-        compute = builder.compute
-        for row in rows:
-            start = int(row_ptr[row])
-            end = int(row_ptr[row + 1])
-            load(self.PC_ROW_PTR, row_ptr_addr(row), kind=AccessKind.STREAM)
-            compute(1)
-            for j in range(start, end):
-                col = int(col_idx[j])
-                if software_prefetch and j + distance < end:
-                    target = int(col_idx[j + distance])
-                    builder.sw_prefetch(self.PC_SW_PREFETCH, vec_addr(target))
-                load(self.PC_COL_IDX, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_VALUES, values_addr(j), kind=AccessKind.STREAM)
-                load(self.PC_VECTOR, vec_addr(col), kind=AccessKind.INDIRECT)
-                compute(2)                # multiply-accumulate
-            builder.store(self.PC_STORE, result_addr(row),
-                          kind=AccessKind.STREAM)
-        return builder.build()
+        rows = np.arange(rows.start, rows.stop)
+        starts = matrix.row_ptr[rows]
+        lengths = matrix.row_ptr[rows + 1] - starts
+        owner, local = csr_expand(lengths)
+        j = starts[owner] + local
+        prefetch, ahead = prefetch_ahead(j + distance, starts[owner],
+                                         starts[owner] + lengths[owner],
+                                         software_prefetch)
+        head = loop_rows(
+            len(rows),
+            load_row(self.PC_ROW_PTR, image.addresses("row_ptr", rows),
+                     AccessKind.STREAM),
+            compute_row(1))
+        body = loop_rows(
+            len(j),
+            sw_prefetch_row(self.PC_SW_PREFETCH,
+                            image.addresses("vec", col_idx[ahead]), prefetch),
+            load_row(self.PC_COL_IDX, image.addresses("col_idx", j),
+                     AccessKind.INDEX, size=4),
+            load_row(self.PC_VALUES, image.addresses("values", j),
+                     AccessKind.STREAM),
+            load_row(self.PC_VECTOR, image.addresses("vec", col_idx[j]),
+                     AccessKind.INDIRECT),
+            compute_row(2))               # multiply-accumulate
+        tail = loop_rows(
+            len(rows),
+            store_row(self.PC_STORE, image.addresses("result", rows),
+                      AccessKind.STREAM))
+        return trace_from_rows(core_id, nest_rows(
+            len(rows), (2, head), (5 * lengths, body), (1, tail)))

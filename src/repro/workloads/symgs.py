@@ -17,8 +17,22 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Rows,
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.sparse import CSRMatrix, stencil_27pt
 
 
@@ -89,11 +103,10 @@ class SymGSWorkload(Workload):
                                        "nonzeros": matrix.num_nonzeros})
 
     # ------------------------------------------------------------------
-    def _sweep(self, builder: TraceBuilder, rows, matrix: CSRMatrix,
-               image: MemoryImage, software_prefetch: bool, distance: int,
-               *, forward: bool) -> None:
+    def _sweep(self, rows: range, matrix: CSRMatrix, image: MemoryImage,
+               software_prefetch: bool, distance: int, *,
+               forward: bool) -> Rows:
         col_idx = matrix.col_idx
-        row_ptr = matrix.row_ptr
         if forward:
             pcs = (self.PC_ROW_PTR_F, self.PC_COL_IDX_F, self.PC_VALUES_F,
                    self.PC_VECTOR_F, self.PC_STORE_F)
@@ -101,43 +114,53 @@ class SymGSWorkload(Workload):
             pcs = (self.PC_ROW_PTR_B, self.PC_COL_IDX_B, self.PC_VALUES_B,
                    self.PC_VECTOR_B, self.PC_STORE_B)
         pc_row, pc_col, pc_val, pc_vec, pc_store = pcs
-        row_order = rows if forward else reversed(rows)
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        rhs_addr = image.addr_fn("rhs")
-        col_idx_addr = image.addr_fn("col_idx")
-        values_addr = image.addr_fn("values")
-        xvec_addr = image.addr_fn("xvec")
-        load = builder.load
-        compute = builder.compute
-        for row in row_order:
-            start = int(row_ptr[row])
-            end = int(row_ptr[row + 1])
-            load(pc_row, row_ptr_addr(row), kind=AccessKind.STREAM)
-            load(pc_store, rhs_addr(row), kind=AccessKind.STREAM)
-            compute(2)
-            inner = range(start, end) if forward else range(end - 1, start - 1, -1)
-            for j in inner:
-                col = int(col_idx[j])
-                if software_prefetch:
-                    target_j = j + distance if forward else j - distance
-                    if start <= target_j < end:
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            xvec_addr(int(col_idx[target_j])))
-                load(pc_col, col_idx_addr(j), size=4, kind=AccessKind.INDEX)
-                load(pc_val, values_addr(j), kind=AccessKind.STREAM)
-                load(pc_vec, xvec_addr(col), kind=AccessKind.INDIRECT)
-                compute(2)
-            # The smoothed value is written back to the row's vector entry.
-            compute(4)                    # divide by the diagonal, busy-wait check
-            builder.store(pc_store, xvec_addr(row), kind=AccessKind.STREAM)
+        row_order = np.arange(rows.start, rows.stop)
+        if not forward:
+            row_order = row_order[::-1]
+        starts = matrix.row_ptr[row_order]
+        ends = matrix.row_ptr[row_order + 1]
+        owner, local = csr_expand(ends - starts)
+        # The backward sweep walks each row's non-zeros from its end.
+        if forward:
+            j = starts[owner] + local
+            target = j + distance
+        else:
+            j = ends[owner] - 1 - local
+            target = j - distance
+        prefetch, ahead = prefetch_ahead(target, starts[owner], ends[owner],
+                                         software_prefetch)
+        head = loop_rows(
+            len(row_order),
+            load_row(pc_row, image.addresses("row_ptr", row_order),
+                     AccessKind.STREAM),
+            load_row(pc_store, image.addresses("rhs", row_order),
+                     AccessKind.STREAM),
+            compute_row(2))
+        body = loop_rows(
+            len(j),
+            sw_prefetch_row(self.PC_SW_PREFETCH,
+                            image.addresses("xvec", col_idx[ahead]),
+                            prefetch),
+            load_row(pc_col, image.addresses("col_idx", j),
+                     AccessKind.INDEX, size=4),
+            load_row(pc_val, image.addresses("values", j),
+                     AccessKind.STREAM),
+            load_row(pc_vec, image.addresses("xvec", col_idx[j]),
+                     AccessKind.INDIRECT),
+            compute_row(2))
+        # The smoothed value is written back to the row's vector entry.
+        tail = loop_rows(
+            len(row_order),
+            compute_row(4),             # divide by the diagonal, busy-wait check
+            store_row(pc_store, image.addresses("xvec", row_order),
+                      AccessKind.STREAM))
+        return nest_rows(len(row_order), (3, head),
+                         (5 * (ends - starts), body), (2, tail))
 
     def _core_trace(self, core_id: int, rows: range, matrix: CSRMatrix,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        self._sweep(builder, rows, matrix, image, software_prefetch, distance,
-                    forward=True)
-        self._sweep(builder, rows, matrix, image, software_prefetch, distance,
-                    forward=False)
-        return builder.build()
+        return trace_from_rows(core_id, *(
+            self._sweep(rows, matrix, image, software_prefetch, distance,
+                        forward=forward)
+            for forward in (True, False)))

@@ -12,8 +12,19 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    load_row,
+    loop_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 
 
 class StreamingWorkload(Workload):
@@ -42,20 +53,18 @@ class StreamingWorkload(Workload):
         image.add_array("c", np.zeros(self.n_elements, dtype=np.float64),
                         writable=True)
         traces: List[Trace] = []
-        a_addr = image.addr_fn("a")
-        b_addr = image.addr_fn("b")
-        c_addr = image.addr_fn("c")
         for core_id, elements in enumerate(self.partition(self.n_elements,
                                                           n_cores)):
-            builder = TraceBuilder(core_id)
-            load = builder.load
-            for i in elements:
-                load(self.PC_LOAD_A, a_addr(i), kind=AccessKind.STREAM)
-                load(self.PC_LOAD_B, b_addr(i), kind=AccessKind.STREAM)
-                builder.compute(2)
-                builder.store(self.PC_STORE_C, c_addr(i),
-                              kind=AccessKind.STREAM)
-            traces.append(builder.build())
+            i = np.arange(elements.start, elements.stop)
+            traces.append(trace_from_rows(core_id, loop_rows(
+                len(i),
+                load_row(self.PC_LOAD_A, image.addresses("a", i),
+                         AccessKind.STREAM),
+                load_row(self.PC_LOAD_B, image.addresses("b", i),
+                         AccessKind.STREAM),
+                compute_row(2),
+                store_row(self.PC_STORE_C, image.addresses("c", i),
+                          AccessKind.STREAM))))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces)
 
 
@@ -94,25 +103,24 @@ class IndirectStreamWorkload(Workload):
             image.add_array("C", np.zeros(self.n_data, dtype=np.float64),
                             elem_size=self.elem_size, length=self.n_data)
         traces: List[Trace] = []
-        b_addr = image.addr_fn("B")
-        a_addr = image.addr_fn("A")
-        c_addr = image.addr_fn("C") if self.two_way else None
         data_size = min(8, self.elem_size)
+        data_arrays = ("A", "C") if self.two_way else ("A",)
+        data_pcs = (self.PC_DATA, self.PC_DATA2)
         for core_id, chunk in enumerate(self.partition(self.n_indices, n_cores)):
-            builder = TraceBuilder(core_id)
-            load = builder.load
-            end = chunk.stop
-            for i in chunk:
-                target = int(indices[i])
-                if software_prefetch and i + sw_prefetch_distance < end:
-                    future = int(indices[i + sw_prefetch_distance])
-                    builder.sw_prefetch(pc_of(98), a_addr(future))
-                load(self.PC_INDEX, b_addr(i), size=4, kind=AccessKind.INDEX)
-                load(self.PC_DATA, a_addr(target), size=data_size,
-                     kind=AccessKind.INDIRECT)
-                if self.two_way:
-                    load(self.PC_DATA2, c_addr(target), size=data_size,
-                         kind=AccessKind.INDIRECT)
-                builder.compute(2)
-            traces.append(builder.build())
+            i = np.arange(chunk.start, chunk.stop)
+            target = indices[i]
+            prefetch, ahead = prefetch_ahead(i + sw_prefetch_distance,
+                                             chunk.start, chunk.stop,
+                                             software_prefetch)
+            traces.append(trace_from_rows(core_id, loop_rows(
+                len(i),
+                sw_prefetch_row(pc_of(98),
+                                image.addresses("A", indices[ahead]),
+                                prefetch),
+                load_row(self.PC_INDEX, image.addresses("B", i),
+                         AccessKind.INDEX, size=4),
+                *(load_row(pc, image.addresses(name, target),
+                           AccessKind.INDIRECT, size=data_size)
+                  for pc, name in zip(data_pcs, data_arrays)),
+                compute_row(2))))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces)

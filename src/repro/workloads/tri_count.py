@@ -23,8 +23,21 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
-from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.sim.trace import AccessKind, Trace
+from repro.workloads.base import (
+    Workload,
+    WorkloadBuild,
+    compute_row,
+    csr_expand,
+    load_row,
+    loop_rows,
+    nest_rows,
+    pc_of,
+    prefetch_ahead,
+    store_row,
+    sw_prefetch_row,
+    trace_from_rows,
+)
 from repro.workloads.graphs import CSRGraph, power_law_graph
 
 
@@ -72,53 +85,78 @@ class TriangleCountWorkload(Workload):
     def _core_trace(self, core_id: int, vertices: range, graph: CSRGraph,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
         col_idx = graph.col_idx
         row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        bitvec_addr = image.addr_fn("bitvec")
-        load = builder.load
-        compute = builder.compute
-        for vertex in vertices:
-            start = int(row_ptr[vertex])
-            end = int(row_ptr[vertex + 1])
-            load(self.PC_ROW_PTR_V, row_ptr_addr(vertex),
-                 kind=AccessKind.STREAM)
+        vertices = np.arange(vertices.start, vertices.stop)
+        starts = row_ptr[vertices]
+        degrees = row_ptr[vertices + 1] - starts
+        owner, local = csr_expand(degrees)
+        first = np.cumsum(degrees) - degrees     # each vertex's first pair
+        j = starts[owner] + local
+        u = col_idx[j]
+        u_start = row_ptr[u]
+        u_degree = row_ptr[u + 1] - u_start
+
+        def vertex_sums(values):
+            """Sums of per-neighbour ``values`` within each vertex: over
+            every neighbour's earlier siblings, and over all of them."""
+            total = np.concatenate(([0], np.cumsum(values)))
+            return (total[:-1] - total[first][owner],
+                    total[first + degrees] - total[first])
+
+        # The two-hop budget: neighbour j is scanned while the budget left
+        # after the earlier neighbours is positive, and scans at most that
+        # many of its own neighbours.
+        budget = self.max_two_hop_per_vertex
+        spent, _ = vertex_sums(u_degree)
+        scanned = np.flatnonzero(spent < budget)
+        hops = np.minimum(u_degree[scanned], budget - spent[scanned])
+        hop_owner, hop_local = csr_expand(hops)
+        hop_start = u_start[scanned][hop_owner]
+        k = hop_start + hop_local
+        prefetch, ahead = prefetch_ahead(
+            k + distance, hop_start, hop_start + u_degree[scanned][hop_owner],
+            software_prefetch)
+        two_hop = nest_rows(
+            len(scanned),
+            (3, loop_rows(
+                len(scanned),
+                load_row(self.PC_COL_IDX_V,
+                         image.addresses("col_idx", j[scanned]),
+                         AccessKind.INDEX, size=4),
+                load_row(self.PC_ROW_PTR_U,
+                         image.addresses("row_ptr", u[scanned]),
+                         AccessKind.INDIRECT),
+                compute_row(1))),
+            (4 * hops, loop_rows(
+                len(k),
+                sw_prefetch_row(self.PC_SW_PREFETCH,
+                                image.addresses("bitvec", col_idx[ahead]),
+                                prefetch),
+                load_row(self.PC_COL_IDX_U, image.addresses("col_idx", k),
+                         AccessKind.INDEX, size=4),
+                load_row(self.PC_BITVEC_TEST,
+                         image.addresses("bitvec", col_idx[k]),
+                         AccessKind.INDIRECT, size=1),
+                compute_row(2))))       # bit test and triangle count update
+        # Rows of each vertex's share of the two-hop scan.
+        pair_rows = np.zeros(len(j), dtype=np.int64)
+        pair_rows[scanned] = 3 + 4 * hops
+        _, two_hop_rows = vertex_sums(pair_rows)
+        return trace_from_rows(core_id, nest_rows(
+            len(vertices),
+            (1, loop_rows(
+                len(vertices),
+                load_row(self.PC_ROW_PTR_V,
+                         image.addresses("row_ptr", vertices),
+                         AccessKind.STREAM))),
             # Build the bit vector of v's neighbourhood (streaming writes).
-            for j in range(start, end):
-                neighbor = int(col_idx[j])
-                load(self.PC_COL_IDX_V, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                builder.store(self.PC_BITVEC_SET, bitvec_addr(neighbor),
-                              size=1, kind=AccessKind.INDIRECT)
-                compute(1)
+            (3 * degrees, loop_rows(
+                len(j),
+                load_row(self.PC_COL_IDX_V, image.addresses("col_idx", j),
+                         AccessKind.INDEX, size=4),
+                store_row(self.PC_BITVEC_SET, image.addresses("bitvec", u),
+                          AccessKind.INDIRECT, size=1),
+                compute_row(1))),
             # Intersect each neighbour's neighbour list with the bit vector.
-            two_hop_budget = self.max_two_hop_per_vertex
-            for j in range(start, end):
-                if two_hop_budget <= 0:
-                    break
-                u = int(col_idx[j])
-                load(self.PC_COL_IDX_V, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_ROW_PTR_U, row_ptr_addr(u),
-                     kind=AccessKind.INDIRECT)
-                compute(1)
-                u_start = int(row_ptr[u])
-                u_end = int(row_ptr[u + 1])
-                for k in range(u_start, u_end):
-                    if two_hop_budget <= 0:
-                        break
-                    two_hop_budget -= 1
-                    w = int(col_idx[k])
-                    if software_prefetch and k + distance < u_end:
-                        target = int(col_idx[k + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            bitvec_addr(target))
-                    load(self.PC_COL_IDX_U, col_idx_addr(k),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_BITVEC_TEST, bitvec_addr(w),
-                         size=1, kind=AccessKind.INDIRECT)
-                    compute(2)           # bit test and triangle count update
-        return builder.build()
+            (two_hop_rows, two_hop)))

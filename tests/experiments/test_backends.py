@@ -245,6 +245,72 @@ class TestBackendEquivalence:
             digest: fingerprint for digest, fingerprint in reference.items()
             if digest in {spec.digest() for spec in specs}}
 
+    @pytest.mark.parametrize("probe", ["known", "unknown", "unreachable"])
+    def test_garbled_submit_response_probes_the_job(self, reference,
+                                                    tmp_path, monkeypatch,
+                                                    probe):
+        # The first submit answer is not the JSON envelope.  One job probe
+        # decides: a job the shard knows stays in flight there, a 404
+        # requeues the spec with the shard alive, and a failed probe
+        # marks the shard down as before.
+        from repro.experiments import backends
+        from repro.service import ServiceApp
+        from repro.service.client import (ServiceClient, ShardProtocolError,
+                                          ShardUnavailable)
+
+        class GarbledClient(ServiceClient):
+            submits = 0
+
+            def submit(self, doc):
+                GarbledClient.submits += 1
+                if GarbledClient.submits > 1:
+                    return super().submit(doc)
+                if probe == "known":
+                    super().submit(doc)   # journaled; the answer is lost
+                raise ShardProtocolError("non-JSON response body")
+
+            def job(self, job_id):
+                if probe == "unreachable":
+                    raise ShardUnavailable(self.base_url, "connection refused")
+                return super().job(job_id)
+
+        apps = [ServiceApp(tmp_path / f"shard{i}", port=0, queue_depth=8)
+                for i in range(2)]
+        for app in apps:
+            app.start()
+        glitchy, survivor = apps
+        monkeypatch.setattr(
+            backends, "ServiceClient",
+            lambda url: (GarbledClient(url) if url == glitchy.url
+                         else ServiceClient(url)))
+        try:
+            specs, lookup = make_specs(2)
+            engine = SweepEngine(jobs=1, backend="service",
+                                 shards=[glitchy.url, survivor.url])
+            results = engine.run(specs, workload_lookup=lookup.get)
+        finally:
+            for app in apps:
+                app.stop(drain_timeout=10.0)
+        backend = engine.backend
+        assert backend.fallback_specs == 0
+        assert backend.ingested == len(specs)
+        assert fingerprints(results) == {
+            digest: fingerprint for digest, fingerprint in reference.items()
+            if digest in {spec.digest() for spec in specs}}
+        if probe == "unreachable":
+            assert backend.dead_shards == [glitchy.url]
+            assert backend.requeued == 1
+            assert survivor.manager.simulations_run == len(specs)
+        else:
+            assert backend.dead_shards == []
+            assert backend.requeued == 0
+            # Nothing simulated twice: the journaled job finished on the
+            # shard that took it, the lost one ran exactly once elsewhere.
+            assert (glitchy.manager.simulations_run
+                    + survivor.manager.simulations_run) == len(specs)
+            if probe == "known":
+                assert glitchy.manager.simulations_run >= 1
+
     def test_service_summary_counts_remote_work(self, reference, tmp_path):
         # The engine's simulations_run includes remote ingests, so the
         # CLI summary line stays truthful whichever backend ran.

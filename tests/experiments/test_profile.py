@@ -54,6 +54,8 @@ def test_fingerprint_and_metadata_recorded(document):
     assert document["runtime_cycles"] == \
         document["fingerprint"]["runtime_cycles"]
     assert document["runtime_cycles"] > 0
+    # The trace build runs outside the profiler but is still timed.
+    assert document["build_seconds"] > 0.0
     assert document["top_functions"], "no hot functions recorded"
     for row in document["top_functions"]:
         assert row["self_seconds"] >= 0.0
@@ -72,6 +74,7 @@ def test_format_report_renders(document):
     assert "indirect_stream/stream" in text
     assert "subsystem" in text
     assert "top functions" in text
+    assert "trace build" in text and "(not profiled)" in text
     # One line per subsystem bucket.
     for name in document["subsystems"]:
         assert name in text

@@ -1,5 +1,6 @@
 """Unit tests for the trace representation (repro.sim.trace)."""
 
+import numpy as np
 import pytest
 
 from repro.sim.trace import (
@@ -130,6 +131,23 @@ class TestColumnarStorage:
         assert trace.entry_at(-1) == entries[-1]
         assert list(trace) == entries
 
+    def test_entry_at_counts_lead_rows_twice(self):
+        trace = (TraceBuilder(0)
+                 .load(0x400, 0x1000)
+                 .compute(3)
+                 .store(0x408, 0x2000, kind=AccessKind.STREAM)
+                 .compute(2)
+                 .build())
+        entries = trace.entries
+        assert len(entries) == 4 and trace.num_rows == 3
+        assert [trace.entry_at(i) for i in range(4)] == entries
+        assert trace.entry_at(1) == Compute(3)          # the store row's lead
+        assert trace.entry_at(-2) == entries[2]
+        assert trace.entry_at(-4) == entries[0]
+        for position in (4, 100, -5):
+            with pytest.raises(IndexError):
+                trace.entry_at(position)
+
     def test_counts_maintained_incrementally(self):
         trace = Trace(core_id=0)
         assert trace.count_by_kind() == {kind: 0 for kind in KIND_BY_CODE}
@@ -155,3 +173,76 @@ class TestColumnarStorage:
                 == trace.num_rows == 100)
         assert len(trace) == 200
         assert trace.instruction_count == 200
+
+
+class TestFromColumns:
+    """``Trace.from_columns`` derives the counters the incremental
+    object-level appends maintain."""
+
+    ENTRIES = [
+        Compute(4),
+        MemRef(pc=0x400, addr=0x1000, size=4, kind=AccessKind.INDEX),
+        MemRef(pc=0x408, addr=0x2000, kind=AccessKind.INDIRECT),
+        Compute(2),
+        SwPrefetch(pc=0x410, addr=0x3000, overhead_ops=3),
+        MemRef(pc=0x418, addr=0x4000, is_write=True,
+               kind=AccessKind.STREAM),
+        MemRef(pc=0x420, addr=0x5000, kind=AccessKind.OTHER),
+        Compute(1),
+        MemRef(pc=0x428, addr=0x6000, size=1, is_write=True,
+               kind=AccessKind.INDIRECT),
+        Compute(7),
+    ]
+
+    def built(self):
+        """The mixed trace through the per-row builder: leads on a load and
+        on a software prefetch, every access kind, a trailing compute row."""
+        builder = TraceBuilder(3)
+        for entry in self.ENTRIES:
+            if type(entry) is Compute:
+                builder.compute(entry.ops)
+            elif type(entry) is SwPrefetch:
+                builder.sw_prefetch(entry.pc, entry.addr,
+                                    overhead_ops=entry.overhead_ops)
+            elif entry.is_write:
+                builder.store(entry.pc, entry.addr, size=entry.size,
+                              kind=entry.kind)
+            else:
+                builder.load(entry.pc, entry.addr, size=entry.size,
+                             kind=entry.kind)
+        return builder.build()
+
+    def test_mixed_trace_counters_match_incremental_ones(self):
+        trace = self.built()
+        assert list(trace.lead) == [4, 0, 2, 0, 0, 1, 0]
+        assert trace.op[-1] == OP_COMPUTE and trace.aux[-1] == 7
+        columns = [np.array(getattr(trace, name)) for name in
+                   ("op", "pc", "addr", "size", "aux", "lead")]
+        derived = Trace.from_columns(3, *columns)
+        incremental = Trace(3, self.ENTRIES)
+        for candidate in (trace, derived):
+            assert candidate.instruction_count == \
+                incremental.instruction_count == 4 + 2 + 2 + 4 + 2 + 1 + 1 + 7
+            assert candidate.memory_reference_count == \
+                incremental.memory_reference_count == 5
+            assert candidate.count_by_kind() == incremental.count_by_kind()
+            assert len(candidate) == len(incremental) == len(self.ENTRIES)
+            assert candidate.entries == self.ENTRIES
+        assert all(count == (2 if kind is AccessKind.INDIRECT else 1)
+                   for kind, count in derived.count_by_kind().items())
+        assert derived.core_id == 3
+        assert derived.op.typecode == "q"
+
+    def test_empty_columns(self):
+        trace = Trace.from_columns(0, [], [], [], [], [], [])
+        assert (trace.num_rows, len(trace), trace.instruction_count,
+                trace.memory_reference_count) == (0, 0, 0, 0)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [0], [])
+
+    def test_rejects_unknown_kind_code(self):
+        with pytest.raises(ValueError):
+            Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [len(KIND_BY_CODE)],
+                               [0])

@@ -72,6 +72,25 @@ class TestAddressing:
         with pytest.raises(IndexError):
             spec.addr_of(4)
 
+    @pytest.mark.parametrize("elem_size", [1 / 8, 0.5, 1, 3, 4, 8, 16, 24])
+    def test_addresses_match_addr_of(self, elem_size):
+        # Bit vectors, sub-word, odd and wide (feature-row) elements.
+        image = MemoryImage()
+        image.add_array("pad", np.zeros(5, dtype=np.int32))
+        spec = image.add_array("a", length=1000, elem_size=elem_size)
+        indices = np.array([0, 1, 7, 8, 9, 333, 998, 999, 8, 0])
+        addresses = image.addresses("a", indices)
+        assert addresses.dtype == np.int64
+        assert addresses.tolist() == [spec.addr_of(int(i)) for i in indices]
+        assert image.addresses("a", np.array([], dtype=np.int32)).size == 0
+
+    def test_addresses_reject_out_of_range(self):
+        image = MemoryImage()
+        image.add_array("a", np.zeros(4, dtype=np.int32))
+        for bad in ([0, 4], [-1]):
+            with pytest.raises(IndexError):
+                image.addresses("a", np.array(bad))
+
     def test_find_locates_containing_array(self):
         image = MemoryImage()
         a = image.add_array("a", np.zeros(16, dtype=np.int64))
