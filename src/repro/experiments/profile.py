@@ -82,7 +82,8 @@ def profile_run(workload_name: str, prefetcher: str = "imp",
     so the report covers the steady-state simulation loop — the part perf
     PRs optimise — not trace generation.  The build is timed instead and
     reported as ``build_seconds``, so the cost the profile leaves out stays
-    visible.
+    visible, next to the size of the trace store it leaves in memory
+    (``trace_bytes`` over ``trace_rows``).
     """
     from repro.experiments.bench import _make_workload
     from repro.experiments.configs import scaled_config
@@ -91,7 +92,7 @@ def profile_run(workload_name: str, prefetcher: str = "imp",
     workload = _make_workload(workload_name, seed, quick)
     config = scaled_config(cores)
     build_start = time.perf_counter()
-    workload.cached_build(cores)          # excluded from the profile
+    build = workload.cached_build(cores)  # excluded from the profile
     build_seconds = time.perf_counter() - build_start
 
     profiler = cProfile.Profile()
@@ -127,6 +128,8 @@ def profile_run(workload_name: str, prefetcher: str = "imp",
         "seed": seed,
         "quick": quick,
         "build_seconds": build_seconds,
+        "trace_bytes": sum(trace.nbytes for trace in build.traces),
+        "trace_rows": sum(trace.num_rows for trace in build.traces),
         "wall_seconds": wall,
         "profiled_seconds": total_self,
         "runtime_cycles": cycles,
@@ -157,6 +160,9 @@ def format_report(document: Dict, top: int = 12, out=sys.stdout) -> None:
           f"(cProfile overhead included)", file=out)
     print(f"trace build       : {document['build_seconds']:.3f} s "
           f"(not profiled)", file=out)
+    trace_bytes, rows = document["trace_bytes"], document["trace_rows"]
+    print(f"trace store       : {trace_bytes / 2 ** 20:.1f} MB in {rows} rows "
+          f"({trace_bytes / max(rows, 1):.0f} B/row)", file=out)
     print(f"simulated cycles  : {document['runtime_cycles']} "
           f"({document['cycles_per_wall_second']:,.0f} cycles/s)", file=out)
     print(file=out)

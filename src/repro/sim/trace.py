@@ -20,15 +20,22 @@ Storage layout
 Traces routinely hold hundreds of thousands of dynamic entries per core, so
 storing one Python object per entry (the original design) dominated both the
 memory footprint and the run time of ``System.run``.  A :class:`Trace` now
-stores six parallel ``array('q')`` columns::
+stores six parallel :mod:`array` columns, each at the fixed width that
+:data:`COLUMNS` gives it::
 
-    op    opcode (OP_COMPUTE / OP_LOAD / OP_STORE / OP_SW_PREFETCH)
-    pc    program counter            (0 for compute runs)
-    addr  byte address               (0 for compute runs)
-    size  access size in bytes       (0 for compute runs)
-    aux   ops for compute runs, the AccessKind code for loads/stores,
-          overhead_ops for software prefetches
-    lead  non-memory ops executed immediately before this row's instruction
+    op    int8   opcode (OP_COMPUTE / OP_LOAD / OP_STORE / OP_SW_PREFETCH)
+    pc    int32  program counter            (0 for compute runs)
+    addr  int64  byte address               (0 for compute runs)
+    size  int32  access size in bytes       (0 for compute runs)
+    aux   int32  ops for compute runs, the AccessKind code for loads/stores,
+                 overhead_ops for software prefetches
+    lead  int32  non-memory ops executed immediately before this row's
+                 instruction
+
+That is 25 bytes per row.  Only ``addr`` keeps 64 bits, because the address
+layout grows with the input size; the other columns hold small codes, PCs
+and op counts.  Both constructors refuse a value that does not fit its
+column (a ``ValueError`` naming the column) rather than let it wrap.
 
 ``TraceBuilder`` folds a run of compute ops into the *lead* column of the
 next memory-touching row (the ubiquitous compute-then-load pattern then
@@ -89,6 +96,33 @@ KIND_BY_CODE = tuple(AccessKind)
 KIND_CODES = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
 NUM_KINDS = len(KIND_BY_CODE)
 
+#: The column schema, in row order: each column's name and the ``array``
+#: typecode it is stored with (C signed char, int and long long, which
+#: numpy reads as int8, int32 and int64).
+COLUMNS = (("op", "b"), ("pc", "i"), ("addr", "q"), ("size", "i"),
+           ("aux", "i"), ("lead", "i"))
+
+
+def _integer_column(name: str, typecode: str, column) -> np.ndarray:
+    """``column`` as an int64 numpy array, once every value fits ``typecode``.
+
+    A numpy cast to a narrower type wraps silently, so the range is checked
+    first; a non-integer column (floats would truncate) is refused outright.
+    """
+    values = np.asarray(column)
+    if not values.size:
+        return np.zeros(0, dtype=np.int64)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"trace column {name!r} must hold integers, "
+                         f"not {values.dtype}")
+    info = np.iinfo(np.dtype(typecode))
+    low, high = values.min(), values.max()
+    if low < info.min or high > info.max:
+        raise ValueError(
+            f"trace column {name!r} holds {low if low < info.min else high}, "
+            f"outside its int{info.bits} range [{info.min}, {info.max}]")
+    return values.astype(np.int64, copy=False)
+
 
 @dataclass(frozen=True)
 class MemRef:
@@ -140,12 +174,8 @@ class Trace:
     def __init__(self, core_id: int,
                  entries: Optional[Iterable[TraceEntry]] = None) -> None:
         self.core_id = core_id
-        self.op = array("q")
-        self.pc = array("q")
-        self.addr = array("q")
-        self.size = array("q")
-        self.aux = array("q")
-        self.lead = array("q")
+        for name, typecode in COLUMNS:
+            setattr(self, name, array(typecode))
         self._instruction_count = 0
         self._mem_ref_count = 0
         self._kind_counts = [0] * NUM_KINDS
@@ -158,8 +188,11 @@ class Trace:
                      lead) -> "Trace":
         """Bulk constructor: adopt six equal-length integer columns.
 
-        Each column may be a numpy array or any integer sequence.  The
-        summary counters are derived from the columns:
+        Each column may be a numpy array or any integer sequence; it must
+        fit the width :data:`COLUMNS` gives it, ``op`` must hold known
+        opcodes and the load/store rows of ``aux`` known kind codes, or a
+        ``ValueError`` names the offending column.  The summary counters
+        are derived from the columns:
 
         * instructions = the leads, plus one per load/store, ``1 + aux``
           per software prefetch and ``aux`` per compute row;
@@ -167,53 +200,74 @@ class Trace:
         * per-kind counts = a bincount of ``aux`` over the load/store rows;
         * entries = rows plus the rows with a nonzero lead.
         """
-        columns = [np.ascontiguousarray(column, dtype=np.int64)
-                   for column in (op, pc, addr, size, aux, lead)]
+        columns = [_integer_column(name, typecode, column)
+                   for (name, typecode), column
+                   in zip(COLUMNS, (op, pc, addr, size, aux, lead))]
         if len({len(column) for column in columns}) > 1:
             raise ValueError("trace columns differ in length")
         op, _, _, _, aux, lead = columns
+        if op.size and (op.min() < OP_COMPUTE or op.max() > OP_SW_PREFETCH):
+            raise ValueError("trace column 'op' holds an unknown opcode")
         is_mem = (op == OP_LOAD) | (op == OP_STORE)
         is_sw = op == OP_SW_PREFETCH
-        kinds = np.bincount(aux[is_mem], minlength=NUM_KINDS)
-        if len(kinds) > NUM_KINDS:
-            raise ValueError("unknown access kind code in the aux column")
+        kind_codes = aux[is_mem]
+        if kind_codes.size and (kind_codes.min() < 0
+                                or kind_codes.max() >= NUM_KINDS):
+            raise ValueError("trace column 'aux' holds an unknown access "
+                             "kind code on a load/store row")
         trace = cls(core_id)
         trace._instruction_count = int(
             lead.sum() + is_mem.sum() + is_sw.sum() + aux[is_sw].sum()
             + aux[op == OP_COMPUTE].sum())
         trace._mem_ref_count = int(is_mem.sum())
-        trace._kind_counts = [int(count) for count in kinds]
+        trace._kind_counts = [
+            int(count)
+            for count in np.bincount(kind_codes, minlength=NUM_KINDS)]
         trace._entry_count = len(op) + int(np.count_nonzero(lead))
-        for name, column in zip(("op", "pc", "addr", "size", "aux", "lead"),
-                                columns):
+        for (name, typecode), column in zip(COLUMNS, columns):
             # Sized exactly (``frombytes`` over-allocates by 1/16), then
-            # filled with one copy of the column's bytes.
-            buffer = array("q", [0]) * len(column)
-            memoryview(buffer).cast("B")[:] = memoryview(column).cast("B")
+            # filled by one narrowing copy through a numpy view.
+            buffer = array(typecode, [0]) * len(column)
+            np.frombuffer(buffer, dtype=typecode)[:] = column
             setattr(trace, name, buffer)
         return trace
+
+    @property
+    def nbytes(self) -> int:
+        """Total size of the six column buffers, in bytes."""
+        return sum(len(column) * column.itemsize
+                   for column in (self.op, self.pc, self.addr, self.size,
+                                  self.aux, self.lead))
 
     # ------------------------------------------------------------------
     # Raw (columnar) appends
     # ------------------------------------------------------------------
+    def _append_row(self, *row: int) -> None:
+        """Append one value per column, all or none.
+
+        A value that does not fit its column raises a ``ValueError`` naming
+        the column, after the columns already appended to are rolled back.
+        """
+        for index, ((name, _), value) in enumerate(zip(COLUMNS, row)):
+            try:
+                getattr(self, name).append(value)
+            except OverflowError:
+                for done, _ in COLUMNS[:index]:
+                    getattr(self, done).pop()
+                raise ValueError(f"trace column {name!r} cannot hold "
+                                 f"{value}") from None
+
     def append_compute(self, ops: int) -> None:
-        self.op.append(OP_COMPUTE)
-        self.pc.append(0)
-        self.addr.append(0)
-        self.size.append(0)
-        self.aux.append(ops)
-        self.lead.append(0)
+        self._append_row(OP_COMPUTE, 0, 0, 0, ops, 0)
         self._instruction_count += ops
         self._entry_count += 1
 
     def append_mem_ref(self, pc: int, addr: int, size: int, is_write: bool,
                        kind_code: int, lead_ops: int = 0) -> None:
-        self.op.append(OP_STORE if is_write else OP_LOAD)
-        self.pc.append(pc)
-        self.addr.append(addr)
-        self.size.append(size)
-        self.aux.append(kind_code)
-        self.lead.append(lead_ops)
+        if not 0 <= kind_code < NUM_KINDS:
+            raise ValueError(f"unknown access kind code {kind_code}")
+        self._append_row(OP_STORE if is_write else OP_LOAD, pc, addr, size,
+                         kind_code, lead_ops)
         self._instruction_count += 1 + lead_ops
         self._mem_ref_count += 1
         self._kind_counts[kind_code] += 1
@@ -221,12 +275,7 @@ class Trace:
 
     def append_sw_prefetch(self, pc: int, addr: int, overhead_ops: int,
                            lead_ops: int = 0) -> None:
-        self.op.append(OP_SW_PREFETCH)
-        self.pc.append(pc)
-        self.addr.append(addr)
-        self.size.append(0)
-        self.aux.append(overhead_ops)
-        self.lead.append(lead_ops)
+        self._append_row(OP_SW_PREFETCH, pc, addr, 0, overhead_ops, lead_ops)
         self._instruction_count += 1 + overhead_ops + lead_ops
         self._entry_count += 2 if lead_ops else 1
 

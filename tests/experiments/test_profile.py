@@ -54,12 +54,31 @@ def test_fingerprint_and_metadata_recorded(document):
     assert document["runtime_cycles"] == \
         document["fingerprint"]["runtime_cycles"]
     assert document["runtime_cycles"] > 0
-    # The trace build runs outside the profiler but is still timed.
+    # The trace build runs outside the profiler but is still timed, and
+    # the trace store it leaves is sized at the schema's 25 B per row.
     assert document["build_seconds"] > 0.0
+    assert document["trace_rows"] > 0
+    assert document["trace_bytes"] == 25 * document["trace_rows"]
+    assert not {"build_seconds", "trace_bytes", "trace_rows"} & \
+        set(document["fingerprint"])
     assert document["top_functions"], "no hot functions recorded"
     for row in document["top_functions"]:
         assert row["self_seconds"] >= 0.0
         assert ":" in row["function"]
+
+
+def test_noc_and_queueing_time_attributed(document):
+    # Reservation time must land in the kernel module (noc.kernel), apart
+    # from geometry/caching (noc.geometry) and from the shared
+    # ResourceSchedule primitive (queueing: DRAM always, the NoC only under
+    # the reference backend), whichever kernel backend resolved; this keeps
+    # kernel-backend perf work honest about where the time goes.
+    subsystems = document["subsystems"]
+    for bucket in ("noc.kernel", "noc.geometry", "queueing"):
+        assert bucket in subsystems, f"missing {bucket} bucket"
+        assert subsystems[bucket]["calls"] > 0, bucket
+    assert subsystems["noc.kernel"]["share"] > 0.0, \
+        "no time attributed to the NoC kernel"
 
 
 def test_document_round_trips_through_json(document):
@@ -75,6 +94,8 @@ def test_format_report_renders(document):
     assert "subsystem" in text
     assert "top functions" in text
     assert "trace build" in text and "(not profiled)" in text
+    assert (f"trace store       : {document['trace_bytes'] / 2 ** 20:.1f} MB "
+            f"in {document['trace_rows']} rows (25 B/row)") in text
     # One line per subsystem bucket.
     for name in document["subsystems"]:
         assert name in text

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.trace import (
+    COLUMNS,
     KIND_BY_CODE,
     KIND_CODES,
     OP_COMPUTE,
@@ -231,7 +232,8 @@ class TestFromColumns:
         assert all(count == (2 if kind is AccessKind.INDIRECT else 1)
                    for kind, count in derived.count_by_kind().items())
         assert derived.core_id == 3
-        assert derived.op.typecode == "q"
+        assert {name: getattr(derived, name).typecode
+                for name, _ in COLUMNS} == dict(COLUMNS)
 
     def test_empty_columns(self):
         trace = Trace.from_columns(0, [], [], [], [], [], [])
@@ -243,6 +245,87 @@ class TestFromColumns:
             Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [0], [])
 
     def test_rejects_unknown_kind_code(self):
-        with pytest.raises(ValueError):
-            Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [len(KIND_BY_CODE)],
-                               [0])
+        for code in (len(KIND_BY_CODE), -1):
+            with pytest.raises(ValueError, match="'aux'"):
+                Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [code], [0])
+
+
+#: One valid load row, column by column in schema order.
+LOAD_ROW = {"op": OP_LOAD, "pc": 0x400, "addr": 0x1000, "size": 8,
+            "aux": KIND_CODES[AccessKind.INDEX], "lead": 2}
+
+
+def row_columns(**overrides):
+    """Single-row columns for ``Trace.from_columns``, in schema order."""
+    row = dict(LOAD_ROW, **overrides)
+    return [[row[name]] for name, _ in COLUMNS]
+
+
+class TestCompactColumns:
+    """Each column is stored at its schema width, and a value that does not
+    fit is refused with the column's name instead of wrapping."""
+
+    def test_from_columns_stores_25_bytes_per_row(self):
+        trace = Trace.from_columns(
+            0, *(np.full(1000, value, dtype=np.int64)
+                 for value in LOAD_ROW.values()))
+        assert trace.num_rows == 1000
+        assert trace.nbytes == 25 * 1000
+
+    def test_incremental_trace_stores_25_bytes_per_row(self):
+        trace = Trace(0, TestFromColumns.ENTRIES)
+        assert trace.num_rows == len(TestFromColumns.ENTRIES)
+        assert trace.nbytes == 25 * trace.num_rows
+        assert {name: getattr(trace, name).typecode
+                for name, _ in COLUMNS} == dict(COLUMNS)
+
+    def test_wide_values_round_trip(self):
+        addr = 2 ** 40 + 64
+        pc = np.iinfo(np.int32).max
+        trace = Trace.from_columns(0, *row_columns(pc=pc, addr=addr))
+        assert trace.entries[-1] == MemRef(pc=pc, addr=addr,
+                                           kind=AccessKind.INDEX)
+
+    @pytest.mark.parametrize("bound", ("min", "max"))
+    @pytest.mark.parametrize("name,typecode", COLUMNS)
+    def test_out_of_range_value_names_its_column(self, name, typecode,
+                                                 bound):
+        info = np.iinfo(np.dtype(typecode))
+        value = info.min - 1 if bound == "min" else info.max + 1
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            Trace.from_columns(0, *row_columns(**{name: value}))
+
+    @pytest.mark.parametrize("name", ("pc", "addr", "size", "lead"))
+    def test_incremental_append_raises_instead_of_wrapping(self, name):
+        trace = Trace(0)
+        trace.append_mem_ref(0x400, 0x1000, 8, False, 0)
+        row = {"pc": 0x400, "addr": 0x1000, "size": 8, "lead_ops": 0}
+        row["lead_ops" if name == "lead" else name] = 2 ** 63
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            trace.append_mem_ref(row["pc"], row["addr"], row["size"], False,
+                                 0, row["lead_ops"])
+        # The columns appended to before the failure were rolled back.
+        assert all(len(getattr(trace, column)) == 1
+                   for column, _ in COLUMNS)
+        assert (trace.num_rows, len(trace), trace.memory_reference_count) \
+            == (1, 1, 1)
+
+    def test_incremental_append_rejects_unknown_kind_code(self):
+        trace = Trace(0)
+        for code in (-1, len(KIND_BY_CODE)):
+            with pytest.raises(ValueError):
+                trace.append_mem_ref(0x400, 0x1000, 8, False, code)
+        assert trace.num_rows == 0
+
+    def test_rejects_unknown_opcode(self):
+        # Before the check an opcode of 7 counted as one memory reference
+        # while the core model simulated the row as a store.
+        for opcode in (OP_SW_PREFETCH + 1, 7, OP_COMPUTE - 1):
+            with pytest.raises(ValueError, match="'op'"):
+                Trace.from_columns(0, *row_columns(op=opcode))
+
+    @pytest.mark.parametrize("name", [name for name, _ in COLUMNS])
+    def test_rejects_non_integer_column(self, name):
+        # A float column used to be truncated silently (64.9 -> 64).
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            Trace.from_columns(0, *row_columns(**{name: 64.9}))

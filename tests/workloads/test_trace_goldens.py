@@ -18,6 +18,7 @@ Recapture, only when a change of traces is intended::
 import hashlib
 import json
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -57,12 +58,16 @@ SOFTWARE_PREFETCH = (False, True)
 
 
 def trace_digest(trace) -> str:
-    """sha256 over a trace's core id, six columns and four counters."""
+    """sha256 over a trace's core id, six columns and four counters.
+
+    Each column is hashed widened to int64, so the digest pins the values
+    whatever width the trace stores them at.
+    """
     h = hashlib.sha256()
     h.update(str(trace.core_id).encode())
     for column in (trace.op, trace.pc, trace.addr, trace.size, trace.aux,
                    trace.lead):
-        h.update(column.tobytes())
+        h.update(array("q", column).tobytes())
     counts = trace.count_by_kind()
     h.update(json.dumps([trace.instruction_count,
                          trace.memory_reference_count,
