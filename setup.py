@@ -5,9 +5,9 @@ Also builds the optional compiled NoC reservation kernel
 strictly optional: ``Extension(optional=True)`` means a missing compiler
 degrades to a pure-Python install, and setting ``$REPRO_NO_CEXT=1`` skips
 the build entirely.  At runtime :mod:`repro.noc.kernel` falls back to the
-``fused`` backend whenever the extension is absent, and the kernel choice
-is excluded from RunSpec digests, so builds with and without the extension
-are cache- and fingerprint-compatible.
+``reference`` backend whenever the extension is absent, and the kernel
+choice is excluded from RunSpec digests, so builds with and without the
+extension are cache- and fingerprint-compatible.
 
 Build in place for a source checkout::
 

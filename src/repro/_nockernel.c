@@ -1,14 +1,19 @@
 /* Compiled NoC route-reservation kernel (repro._nockernel).
  *
- * C implementation of the fused whole-route reservation algorithm defined
- * by repro.noc.kernel.FusedKernel — the same flat per-link interval slabs
- * (parallel start/end arrays of IEEE doubles plus the in-order watermark,
- * logical-prune head and frontier-resume cursor), the same watermark /
- * exact-touch / earliest-gap placement decisions, and the same batched
- * sweep pruning.  Every arithmetic operation is on doubles, which CPython
- * floats are, so placements, busy totals and delivery times are
- * bit-identical to the pure-Python backends by construction; the
- * randomized equivalence suite holds the module to that contract.
+ * Whole-route link reservation over flat per-link interval slabs: parallel
+ * start/end arrays of IEEE doubles (sorted, disjoint, non-touching) plus
+ * an in-order watermark, a logical-prune head and a frontier-resume
+ * cursor per link.  Placement is the earliest-gap algorithm whose
+ * executable specification is repro.sim.queueing.ResourceSchedule.reserve
+ * (the per-link walk of the "reference" backend): an O(1) watermark fast
+ * path for arrivals at or after the last interval end, exact-touch
+ * coalescing, and an earliest-gap search for out-of-order arrivals that
+ * resumes from the frontier cursor when provably safe.  Pruning is one
+ * batched sweep every sweep_period route reservations.  Every arithmetic
+ * operation is on doubles, which CPython floats are, so placements, busy
+ * totals and delivery times are bit-identical to the reference backend;
+ * the randomized equivalence and property suites hold the module to that
+ * contract.
  *
  * The Python side (repro.noc.kernel.CompiledKernel) keeps route
  * compilation policy, the Link -> slab-id mapping and serialization
@@ -204,8 +209,8 @@ Kernel_new_link(KernelObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 /* Batched prune: advance every link's head past intervals that can no
- * longer influence any placement; physically compact long dead prefixes.
- * Mirrors FusedKernel._sweep exactly. */
+ * longer influence any placement (end below arrival - prune_slack);
+ * physically compact dead prefixes of compact_threshold or more. */
 static void
 kernel_sweep(KernelObject *self, double arrival)
 {
@@ -263,7 +268,7 @@ Kernel_busy_time(KernelObject *self, PyObject *arg)
 }
 
 /* The live interval suffix (from the head cursor), as two float lists —
- * the same shape FusedKernel.intervals returns. */
+ * the same shape every repro.noc.kernel backend's intervals() returns. */
 static PyObject *
 Kernel_intervals(KernelObject *self, PyObject *arg)
 {
@@ -400,7 +405,7 @@ Route_dealloc(RouteObject *self)
 /* THE hot path.  One call per message: walk the route's links in order,
  * placing the serialization at the earliest idle instant at or after the
  * message's arrival on each link (bit-identical to
- * ResourceSchedule.reserve / FusedKernel), advance by the hop latency,
+ * ResourceSchedule.reserve), advance by the hop latency,
  * and return the delivery time including the pipeline drain. */
 static PyObject *
 Route_reserve(RouteObject *self, PyObject *arg)
@@ -449,8 +454,9 @@ Route_reserve(RouteObject *self, PyObject *arg)
         }
         else {
             /* Out-of-order: earliest idle gap at or after the arrival.
-             * Mirrors FusedKernel's general path exactly (same gap walk,
-             * same exact-touch coalescing, same frontier resume). */
+             * Mirrors ResourceSchedule.reserve's general path exactly (same
+             * gap walk, same exact-touch coalescing), searching only the
+             * live suffix and resuming from the frontier when safe. */
             double *starts = link->starts;
             double *ends = link->ends;
             Py_ssize_t head = link->head;
@@ -554,7 +560,7 @@ static struct PyModuleDef nockernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._nockernel",
     .m_doc = "Compiled NoC route-reservation kernel (flat per-link "
-             "interval slabs; bit-identical to the pure-Python backends).",
+             "interval slabs; bit-identical to the reference backend).",
     .m_size = -1,
 };
 

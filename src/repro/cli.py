@@ -5,7 +5,6 @@ Installed as the ``repro`` console script (also runnable as
 
 * ``list``           — enumerate every registered component (prefetchers,
   DRAM models, workloads, experiment modes) with one-line descriptions.
-* ``list-workloads`` — show the available paper and synthetic workloads.
 * ``run``            — simulate one workload under one configuration and
   print runtime, coverage, accuracy and traffic.  ``--scenario file.json``
   runs a declarative scenario instead (see
@@ -66,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import signal
 import sys
 from typing import List, Optional, Sequence
@@ -74,7 +74,8 @@ from repro.core.config import IMPConfig
 from repro.experiments import ExperimentRunner, figures, scaled_config
 from repro.experiments.configs import CONFIG_MODES, experiment_config
 from repro.experiments.scenario import ScenarioError, load_scenario
-from repro.registry import ALL_REGISTRIES, PREFETCHERS, SWEEP_BACKENDS
+from repro.registry import (ALL_REGISTRIES, NOC_KERNELS, PREFETCHERS,
+                            SWEEP_BACKENDS, RegistryError)
 from repro.sim.system import run_workload
 from repro.workloads import PAPER_WORKLOADS, REGULAR_WORKLOADS, make_workload
 from repro.workloads.synthetic import IndirectStreamWorkload, StreamingWorkload
@@ -184,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="IMP (Indirect Memory Prefetcher, MICRO 2015) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-workloads", help="list available workloads")
-
     list_parser = sub.add_parser(
         "list", help="list registered components (prefetchers, DRAM models, "
                      "workloads, experiment modes)")
@@ -196,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser(
         "run", help="simulate one workload (or a --scenario file)")
     run_parser.add_argument("workload", nargs="?", default=None,
-                            help="workload name (see list-workloads); "
+                            help="workload name (see list workloads); "
                                  "omit when using --scenario")
     run_parser.add_argument("--scenario", default=None, metavar="FILE",
                             help="run a declarative JSON scenario instead "
@@ -459,13 +458,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                         help="a repro serve base URL for --backend "
                              "service (repeatable; results are ingested "
                              "into the local cache)")
-
-
-def _command_list(out) -> int:
-    print("paper workloads   :", ", ".join(sorted(PAPER_WORKLOADS)), file=out)
-    print("regular workloads :", ", ".join(sorted(REGULAR_WORKLOADS)), file=out)
-    print("synthetic         : indirect_stream, streaming", file=out)
-    return 0
 
 
 def _command_registry_list(args, out) -> int:
@@ -1068,8 +1060,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    if args.command == "list-workloads":
-        return _command_list(out)
+    kernel = os.environ.get("REPRO_NOC_KERNEL")
+    if kernel:
+        # Every mesh would raise on this name deep inside a run (or a
+        # sweep worker); refuse it once, up front, like a bad scenario.
+        try:
+            NOC_KERNELS.get(kernel)
+        except RegistryError as exc:
+            print(f"error: $REPRO_NOC_KERNEL: {exc}", file=out)
+            return 2
     if args.command == "list":
         return _command_registry_list(args, out)
     if args.command == "run":

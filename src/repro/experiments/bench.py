@@ -98,7 +98,7 @@ def run_benchmark(cores: int = 16, seed: int = 1, repeat: int = 1,
         if name is not None:
             entry = NOC_KERNELS.get(name)   # fail fast on typos
             if not entry.is_available():
-                # The mesh would silently substitute 'fused' and turn
+                # The mesh would silently substitute 'reference' and turn
                 # this lane of the A/B into an A/A; refuse instead.
                 raise RuntimeError(
                     f"cannot A/B kernel {name!r}: unavailable on this "

@@ -35,7 +35,7 @@ SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     # ResourceSchedule gets its own bucket: it is the shared reservation
     # primitive — DRAM banks/channels/buses always, the NoC only under
     # the reference backend — so folding it into noc.kernel would
-    # misattribute DRAM time whenever the default fused backend (which
+    # misattribute DRAM time whenever the default compiled backend (which
     # never enters queueing.py) is active.
     ("repro/noc/kernel", "noc.kernel"),
     ("repro/sim/queueing", "queueing"),

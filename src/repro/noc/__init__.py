@@ -5,8 +5,8 @@ reservation hot loop lives behind the swappable kernel boundary of
 :mod:`repro.noc.kernel` (registry :data:`repro.registry.NOC_KERNELS`).
 """
 
-from repro.noc.kernel import NOC_KERNELS, FusedKernel, ReferenceKernel
+from repro.noc.kernel import NOC_KERNELS, CompiledKernel, ReferenceKernel
 from repro.noc.mesh import MeshNoC, Message, resolve_kernel_name
 
-__all__ = ["FusedKernel", "MeshNoC", "Message", "NOC_KERNELS",
+__all__ = ["CompiledKernel", "MeshNoC", "Message", "NOC_KERNELS",
            "ReferenceKernel", "resolve_kernel_name"]

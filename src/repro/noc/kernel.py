@@ -55,28 +55,21 @@ a placement and may be discarded at any convenient moment.  (The global
 event heap dispatches cores in time order, which bounds injection
 disorder by the in-flight lookahead — far below the slack.)
 
-The ``reference`` backend is the previous per-link implementation —
+The ``reference`` backend is the per-link implementation —
 :class:`~repro.sim.queueing.ResourceSchedule` objects, one ``reserve`` call
-per link — and is the single home of those semantics (``MeshNoC`` no longer
-carries a hand-inlined copy).  The default ``fused`` backend keeps every
-link's reservation slab in one flat record (parallel start/end arrays plus
-watermark/busy/head/frontier scalars) baked directly into the compiled
-reserver, places mostly-time-ordered traffic in O(1) via the last-end
-watermark, resumes out-of-order searches from the frontier index instead
-of re-bisecting from the head, and batches all pruning into a periodic
-whole-kernel sweep so the append fast path carries zero prune bookkeeping.
-The ``compiled`` backend is the same algorithm compiled to C
-(:mod:`repro._nockernel`, built optionally by ``setup.py``): the slabs
-become C double arrays and the per-message call a single built-in, removing
-the interpreter from the hot loop entirely; hosts without the extension
-(or with ``$REPRO_NO_CEXT=1``) fall back to ``fused`` at resolution time.
+per link — and is the single home of those semantics (``MeshNoC`` carries
+no hand-inlined copy).  The default ``compiled`` backend runs the same
+placements as a whole-route walk in C (:mod:`repro._nockernel`, built
+optionally by ``setup.py``; see :class:`CompiledKernel`).  Hosts without
+the extension (or with ``$REPRO_NO_CEXT=1``) fall back to ``reference`` at
+resolution time.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.registry import NOC_KERNELS
 from repro.sim.queueing import ResourceSchedule
@@ -89,9 +82,9 @@ Link = Tuple[int, int]
 #: windows line up.
 PRUNE_SLACK = ResourceSchedule.PRUNE_SLACK
 
-#: The fused backend prunes in one batched sweep over every link each time
-#: this many route reservations have been made, amortising the prune cost
-#: across whole routes instead of paying a check per link per message.
+#: The compiled backend prunes in one batched sweep over every link each
+#: time this many route reservations have been made, amortising the prune
+#: cost across whole routes instead of paying a check per link per message.
 SWEEP_PERIOD = 4096
 
 #: Dead-prefix length at which a sweep physically compacts a link's slab
@@ -100,16 +93,6 @@ SWEEP_PERIOD = 4096
 #: the compaction memmove is negligible there, while an uncompacted slab
 #: retains dead floats that crowd everything else out of cache.
 COMPACT_THRESHOLD = 64
-
-# Field indices of one fused per-link state record (a plain list: the
-# record is baked into compiled reservers and must cost one subscript, not
-# an attribute lookup, in the hot loop).
-_WM = 0        # watermark: end of the last retained interval (-inf if none)
-_BUSY = 1      # total busy time ever reserved
-_STARTS = 2    # interval start slab (sorted, disjoint, non-touching)
-_ENDS = 3      # interval end slab (strictly increasing)
-_HEAD = 4      # index of the first live interval (logical prune point)
-_FRONTIER = 5  # index of the last out-of-order placement (search resume)
 
 
 def _flat_reserver(hop_latency: float, n_links: int,
@@ -131,7 +114,7 @@ def _flat_reserver(hop_latency: float, n_links: int,
 
 def live_intervals(starts: List[float], ends: List[float],
                    horizon: float) -> List[Tuple[float, float]]:
-    """The busy coverage at or after ``horizon``, as fused intervals.
+    """The busy coverage at or after ``horizon``, as merged intervals.
 
     Two backends' retained state is only comparable above a horizon
     neither has pruned past (e.g. the later of their first retained
@@ -159,11 +142,12 @@ def live_intervals(starts: List[float], ends: List[float],
 
 
 class ReferenceKernel:
-    """Previous semantics: one :class:`ResourceSchedule` per directed link.
+    """One :class:`ResourceSchedule` per directed link.
 
     This backend is the executable specification the randomized
-    equivalence suite holds every other backend to, and the single home of
-    the earliest-gap placement algorithm (``ResourceSchedule.reserve``).
+    equivalence suite holds every other backend to, the single home of
+    the earliest-gap placement algorithm (``ResourceSchedule.reserve``),
+    and the fallback on hosts without the compiled extension.
     """
 
     __slots__ = ("_hop_latency", "_links")
@@ -209,213 +193,6 @@ class ReferenceKernel:
         self._links.clear()
 
 
-class FusedKernel:
-    """Fused whole-route reservation over flat per-link slabs.
-
-    Each directed link's entire state is one flat record (watermark, busy
-    total, start/end slabs, head and frontier indices).
-    :meth:`route_reserver` compiles a route into a closure with the
-    records, serialization and hop latency pre-bound as locals, so the hot
-    loop touches no dict, no per-link object and no attribute:
-
-    * **Watermark fast path** — mostly time-ordered traffic arrives at or
-      after the link's last interval end and appends (or exact-touch
-      coalesces) at the tail in O(1): one comparison, no bisect, no
-      length probe.
-    * **Frontier resume** — ends are strictly increasing, so one
-      comparison (``ends[frontier - 1] < time``) proves every interval
-      before the last placement's index is dead for a new out-of-order
-      search, which then resumes there instead of re-bisecting from the
-      head.
-    * **Batched sweep pruning** — nothing is pruned per reservation.
-      Every :data:`SWEEP_PERIOD` route reservations, one sweep advances
-      every link's head index past intervals that can no longer influence
-      any placement (end below ``arrival - PRUNE_SLACK``) and physically
-      compacts only slabs whose dead prefix has grown long.
-
-    Placements, coalescing decisions and per-link busy totals are
-    bit-identical to :class:`ReferenceKernel`; retained-state differences
-    are confined to pruning timing (see :func:`live_intervals`).
-    """
-
-    __slots__ = ("_hop_latency", "_ids", "_states", "_handles", "_countdown")
-
-    def __init__(self, hop_latency: float) -> None:
-        self._hop_latency = hop_latency
-        self._ids: Dict[Link, int] = {}
-        self._states: List[list] = []
-        self._handles: List[tuple] = []
-        # Shared mutable sweep countdown cell: compiled reservers decrement
-        # it without touching kernel attributes.
-        self._countdown = [SWEEP_PERIOD]
-
-    def _state(self, link: Link) -> list:
-        return self._states[self._id(link)]
-
-    def _id(self, link: Link) -> int:
-        lid = self._ids.get(link)
-        if lid is None:
-            lid = self._ids[link] = len(self._states)
-            state = [float("-inf"), 0.0, [], [], 0, 0]
-            self._states.append(state)
-            # One handle per link, shared by every reserver whose route
-            # crosses it: thousands of compiled routes then cost a tuple
-            # of pointers each instead of fresh bound methods per link per
-            # route (which the cyclic GC would rescan forever after).
-            self._handles.append(
-                (state, state[_STARTS], state[_ENDS],
-                 state[_STARTS].append, state[_ENDS].append))
-        return lid
-
-    # -- route compilation ---------------------------------------------
-    def route_reserver(self, links: Tuple[Link, ...],
-                       serialization: float) -> Callable[[float], float]:
-        """Compile ``links`` + ``serialization`` into the hot callable.
-
-        The closure binds the per-link handles (mutated in place by
-        reservations and sweeps, so the binding survives slab compaction),
-        the serialization and the hop latency as default-argument locals;
-        per message it costs one plain function call.  Each handle carries
-        the record, its slab lists and their bound ``append`` methods:
-        every mutation anywhere in the kernel is in-place (``del
-        slab[:head]`` compaction included), so the list objects are stable
-        for the record's lifetime and the watermark fast path pays no
-        subscript or attribute lookup to reach them.  Handles live on the
-        kernel (one per link) and routes share them, so a compiled
-        reserver's own footprint is one tuple of pointers.
-        """
-        handle = tuple(self._handles[self._id(link)] for link in links)
-        if serialization <= 0.0:
-            return _flat_reserver(self._hop_latency, len(links),
-                                  serialization)
-
-        def reserve(time: float, _handle=handle, _s=serialization,
-                    _hop=self._hop_latency, _countdown=self._countdown,
-                    _kernel=self, _bisect=bisect_left) -> float:
-            countdown = _countdown[0] - 1
-            if countdown <= 0:
-                _kernel._sweep(time)
-                countdown = SWEEP_PERIOD
-            _countdown[0] = countdown
-            for state, starts, ends, append_start, append_end in _handle:
-                last = state[0]                  # _WM
-                if time > last:
-                    # Idle at (and after) the arrival: append at the tail.
-                    state[0] = end = time + _s
-                    state[1] += _s               # _BUSY
-                    append_start(time)           # _STARTS
-                    append_end(end)              # _ENDS
-                elif time == last:
-                    # Exact touch with the tail interval: serialize behind
-                    # it by extending the interval (a zero-width gap can
-                    # never hold a future reservation).
-                    state[0] = end = last + _s
-                    state[1] += _s
-                    ends[-1] = end
-                else:
-                    # Out-of-order: earliest idle gap at or after the
-                    # arrival.  Mirrors ResourceSchedule.reserve's general
-                    # path exactly (same gap walk, same exact-touch
-                    # coalescing), searching only the live suffix and
-                    # resuming from the frontier when provably safe.
-                    state[1] += _s
-                    head = state[4]
-                    n = len(ends)
-                    lo = state[5]                # _FRONTIER
-                    if not (head < lo < n and ends[lo - 1] < time):
-                        # The frontier hint cannot be proven dead-prefix-
-                        # only for this arrival; search the live suffix.
-                        lo = head
-                    position = _bisect(ends, time, lo, n)
-                    start = time
-                    if position < n and starts[position] - start < _s:
-                        # Walk over the intervals the message cannot
-                        # squeeze in front of.  After the first step
-                        # ``start`` sits on an interval end, so every
-                        # later interval provably ends past it.
-                        end_here = ends[position]
-                        if end_here > start:
-                            start = end_here
-                        position += 1
-                        while position < n:
-                            if starts[position] - start >= _s:
-                                break  # fits in the gap before this one
-                            start = ends[position]
-                            position += 1
-                    end = start + _s
-                    touches_prev = (position > head
-                                    and ends[position - 1] == start)
-                    if position < n and starts[position] == end:
-                        if touches_prev:
-                            # Bridges both neighbours: merge all three.
-                            ends[position - 1] = ends[position]
-                            del starts[position]
-                            del ends[position]
-                            position -= 1
-                        else:
-                            starts[position] = start
-                    elif touches_prev:
-                        position -= 1
-                        ends[position] = end
-                        if position == n - 1:
-                            state[0] = end   # extended the tail
-                    else:
-                        starts.insert(position, start)
-                        ends.insert(position, end)
-                        if position == n:
-                            state[0] = end   # inserted a new tail
-                    # ``position`` indexes the interval containing this
-                    # reservation; later searches resume here when the
-                    # one-comparison validity check holds.
-                    state[5] = position
-                    time = start
-                time += _hop
-            return time + _s       # pipeline drain of the message body
-
-        return reserve
-
-    # -- pruning -------------------------------------------------------
-    def _sweep(self, arrival: float) -> None:
-        """Advance every link's head past reservations that can no longer
-        influence any placement; compact slabs whose dead prefix has grown
-        long.  ``arrival`` is the triggering message's time — by the
-        bounded-disorder invariant no future arrival can undercut
-        ``arrival - PRUNE_SLACK``."""
-        cutoff = arrival - PRUNE_SLACK
-        for state in self._states:
-            ends = state[3]
-            head = bisect_left(ends, cutoff, state[4], len(ends))
-            if head >= COMPACT_THRESHOLD:
-                del state[2][:head]
-                del ends[:head]
-                frontier = state[5] - head
-                state[5] = frontier if frontier > 0 else 0
-                head = 0
-            state[4] = head
-
-    # -- introspection -------------------------------------------------
-    def links(self) -> List[Link]:
-        return list(self._ids)
-
-    def busy_time(self, link: Link) -> float:
-        lid = self._ids.get(link)
-        return self._states[lid][1] if lid is not None else 0.0
-
-    def intervals(self, link: Link) -> Tuple[List[float], List[float]]:
-        lid = self._ids.get(link)
-        if lid is None:
-            return [], []
-        state = self._states[lid]
-        head = state[4]
-        return list(state[2][head:]), list(state[3][head:])
-
-    def reset(self) -> None:
-        self._ids.clear()
-        self._states.clear()
-        self._handles.clear()
-        self._countdown[0] = SWEEP_PERIOD
-
-
 def _load_extension():
     """The :mod:`repro._nockernel` extension module, or ``None``.
 
@@ -440,18 +217,31 @@ def compiled_kernel_available() -> bool:
 
 
 class CompiledKernel:
-    """The fused algorithm compiled to C (:mod:`repro._nockernel`).
+    """Whole-route reservation over flat per-link slabs, in C
+    (:mod:`repro._nockernel`).
 
-    The extension owns what the hot loop touches — flat per-link interval
-    slabs as C double arrays (starts/ends plus the watermark, logical-prune
-    head and frontier cursor that :class:`FusedKernel` keeps per record),
-    the batched sweep and the whole-route reservation walk — while this
-    wrapper keeps everything reviewable in Python: route compilation
-    policy, the zero-serialization flat path, and the ``Link`` → slab-id
-    mapping.  The tuning constants (:data:`PRUNE_SLACK`,
-    :data:`SWEEP_PERIOD`, :data:`COMPACT_THRESHOLD`) are passed into the
-    extension at construction so this module stays their single source of
-    truth.
+    The extension keeps each directed link's state in one record: sorted,
+    disjoint, non-touching start/end slabs as C double arrays, the
+    watermark (end of the last interval), the busy total, a logical-prune
+    head and a frontier cursor.  One call reserves a whole route:
+
+    * **Watermark fast path** — mostly time-ordered traffic arrives at or
+      after the link's last interval end and appends (or exact-touch
+      coalesces) at the tail in O(1).
+    * **Frontier resume** — ends are strictly increasing, so one
+      comparison proves every interval before the last out-of-order
+      placement is dead for a new out-of-order search, which then resumes
+      there instead of re-bisecting from the head.
+    * **Batched sweep pruning** — nothing is pruned per reservation.
+      Every :data:`SWEEP_PERIOD` route reservations, one sweep advances
+      every link's head past intervals that can no longer influence a
+      placement and compacts slabs whose dead prefix has grown long.
+
+    This wrapper keeps route compilation policy, the zero-serialization
+    flat path and the ``Link`` → slab-id mapping in Python.  The tuning
+    constants (:data:`PRUNE_SLACK`, :data:`SWEEP_PERIOD`,
+    :data:`COMPACT_THRESHOLD`) are passed into the extension at
+    construction so this module stays their single source of truth.
 
     The compiled reserver returned by :meth:`route_reserver` is the
     extension Route's bound ``reserve`` built-in — one C call per message,
@@ -461,10 +251,11 @@ class CompiledKernel:
     ``noc.kernel`` bucket instead of silently folding it into callers.
 
     Placements, coalescing decisions and per-link busy totals are
-    bit-identical to both pure-Python backends — every operation is IEEE
+    bit-identical to :class:`ReferenceKernel` — every operation is IEEE
     double arithmetic, exactly what CPython floats are — and the
-    randomized equivalence suite holds all three to that.  Pruning timing
-    matches :class:`FusedKernel` sweep-for-sweep.
+    randomized equivalence and property suites hold it to that.
+    Retained-state differences are confined to pruning timing (see
+    :func:`live_intervals`).
     """
 
     __slots__ = ("_hop_latency", "_ids", "_kernel")
@@ -475,7 +266,7 @@ class CompiledKernel:
             raise RuntimeError(
                 "the repro._nockernel extension is not importable on this "
                 "host (not built, or disabled via $REPRO_NO_CEXT=1); "
-                "resolve_kernel_name falls back to 'fused' automatically")
+                "resolve_kernel_name falls back to 'reference' automatically")
         self._hop_latency = hop_latency
         self._ids: Dict[Link, int] = {}
         self._kernel = extension.Kernel(
@@ -492,8 +283,8 @@ class CompiledKernel:
     def route_reserver(self, links: Tuple[Link, ...],
                        serialization: float) -> Callable[[float], float]:
         if serialization <= 0.0:
-            # Zero-width reservations never occupy a link; same flat
-            # closure as FusedKernel (the extension never sees the route).
+            # Zero-width reservations never occupy a link; the extension
+            # never sees the route.
             return _flat_reserver(self._hop_latency, len(links),
                                   serialization)
         ids = tuple(self._id(link) for link in links)
@@ -502,8 +293,8 @@ class CompiledKernel:
 
     # -- pruning -------------------------------------------------------
     def _sweep(self, arrival: float) -> None:
-        """Immediate batched prune (test parity hook, mirrors
-        :meth:`FusedKernel._sweep`; production pruning is the extension's
+        """Immediate batched prune of every link below ``arrival -
+        PRUNE_SLACK`` (a test hook; production pruning is the extension's
         own periodic sweep)."""
         self._kernel.sweep(arrival)
 
@@ -531,13 +322,8 @@ NOC_KERNELS.register(
     "reference", ReferenceKernel,
     description="per-link ResourceSchedule walk (executable specification)")
 NOC_KERNELS.register(
-    "fused", FusedKernel,
-    description="fused whole-route reservation over flat per-link slabs "
-                "(compiled route reservers, watermark fast path, frontier "
-                "resume, batched sweep pruning)")
-NOC_KERNELS.register(
     "compiled", CompiledKernel,
-    description="the fused algorithm compiled to C (repro._nockernel "
+    description="whole-route reservation compiled to C (repro._nockernel "
                 "extension: per-link double slabs, one built-in call per "
                 "message); requires the optional extension build",
     available=compiled_kernel_available)
@@ -546,7 +332,6 @@ NOC_KERNELS.register(
 __all__ = [
     "COMPACT_THRESHOLD",
     "CompiledKernel",
-    "FusedKernel",
     "NOC_KERNELS",
     "PRUNE_SLACK",
     "SWEEP_PERIOD",

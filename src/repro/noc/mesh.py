@@ -47,10 +47,10 @@ def resolve_kernel_name(config: NoCConfig) -> str:
 
     A *registered but unavailable* backend (the ``compiled`` kernel on a
     host without the extension build, or with ``$REPRO_NO_CEXT=1``)
-    resolves to ``fused`` instead, with a one-line warning the first time.
-    Every backend is bit-identical, and the kernel name is excluded from
-    RunSpec digests, so the substitution never changes a result or splits
-    a cache; failing hard would make specs and scenario files
+    resolves to ``reference`` instead, with a one-line warning the first
+    time.  Every backend is bit-identical, and the kernel name is excluded
+    from RunSpec digests, so the substitution never changes a result or
+    splits a cache; failing hard would make specs and scenario files
     host-dependent for no fidelity gain.
     """
     name = os.environ.get("REPRO_NOC_KERNEL") or config.kernel
@@ -60,10 +60,9 @@ def resolve_kernel_name(config: NoCConfig) -> str:
             _FALLBACK_WARNED.add(name)
             print(f"repro: NoC kernel {name!r} is unavailable on this host "
                   f"(extension not built, or $REPRO_NO_CEXT=1); "
-                  f"falling back to 'fused' (bit-identical)",
+                  f"falling back to 'reference' (bit-identical)",
                   file=sys.stderr)
-        name = "fused"
-        NOC_KERNELS.get(name)
+        name = "reference"
     return name
 
 

@@ -51,14 +51,14 @@ class NoCConfig:
 
     ``kernel`` names the link-reservation backend
     (:data:`repro.registry.NOC_KERNELS`): ``"compiled"`` (the default —
-    the whole-route kernel compiled to C, falling back to ``"fused"``
-    with a warning on hosts without the optional extension build),
-    ``"fused"`` (the pure-Python whole-route kernel) or ``"reference"``
-    (the per-link ``ResourceSchedule`` walk the equivalence suite holds
-    both to).  All backends are bit-identical in placements and
-    statistics; the ``$REPRO_NOC_KERNEL`` environment variable overrides
-    the choice at mesh-construction time without changing the
-    configuration (or any sweep-cache digest derived from it).
+    the whole-route kernel compiled to C, falling back to
+    ``"reference"`` with a warning on hosts without the optional
+    extension build) or ``"reference"`` (the per-link
+    ``ResourceSchedule`` walk the equivalence suite holds ``compiled``
+    to).  Both backends are bit-identical in placements and statistics;
+    the ``$REPRO_NOC_KERNEL`` environment variable overrides the choice
+    at mesh-construction time without changing the configuration (or any
+    sweep-cache digest derived from it).
     """
 
     hop_latency: int = 2          # 1 router + 1 link cycle per hop

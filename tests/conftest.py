@@ -36,6 +36,25 @@ def no_ambient_noc_kernel_override():
         os.environ["REPRO_NOC_KERNEL"] = name
 
 
+def pytest_generate_tests(metafunc):
+    """Parametrise every test that takes a ``noc_kernel`` argument over the
+    registered NoC kernels other than ``reference`` (the spec they are held
+    to).  An entry whose implementation is absent on this host (``compiled``
+    without its extension build, or with ``$REPRO_NO_CEXT=1``) is skipped,
+    not silently dropped, so a missing build is visible in the report."""
+    if "noc_kernel" not in metafunc.fixturenames:
+        return
+    from repro.registry import NOC_KERNELS
+    params = []
+    for entry in NOC_KERNELS.entries():
+        if entry.name == "reference":
+            continue
+        marks = () if entry.is_available() else pytest.mark.skip(
+            reason=f"backend {entry.name!r} unavailable on this host")
+        params.append(pytest.param(entry.name, marks=marks))
+    metafunc.parametrize("noc_kernel", params)
+
+
 @pytest.fixture
 def small_config() -> SystemConfig:
     """A tiny 4-core platform with small caches; fast to simulate."""

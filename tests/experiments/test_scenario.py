@@ -150,13 +150,13 @@ class TestCanonicalisationAndDigest:
         # digests from before the field existed stay valid — persisted
         # caches and sweep journals survive the kernel boundary landing).
         docs = []
-        for kernel in (None, "fused", "reference"):
+        for kernel in (None, "compiled", "reference"):
             doc = three_level_doc()
             if kernel is not None:
                 doc.setdefault("system", {})["noc"] = {"kernel": kernel}
             docs.append(ScenarioSpec.from_dict(doc))
-        default, fused, reference = docs
-        assert default.digest() == fused.digest() == reference.digest()
+        default, compiled, reference = docs
+        assert default.digest() == compiled.digest() == reference.digest()
         # ...but the resolved config still honours the selection.
         assert reference.resolve()[1].noc.kernel == "reference"
         assert "kernel" not in default.canonical_dict()["base_config"]["noc"]

@@ -246,12 +246,13 @@ class TestResultCache:
         specs = {
             name: tiny_spec(base_config=replace(
                 base_config, noc=replace(base_config.noc, kernel=name)))
-            for name in ("fused", "reference", "compiled")}
+            for name in ("reference", "compiled")}
         digests = {spec.digest() for spec in specs.values()}
         assert len(digests) == 1            # one identity for all backends
-        assert specs["fused"] != specs["reference"]   # configs do differ
-        cache.put(specs["fused"],
-                  make_record(specs["fused"], execute_spec(specs["fused"])))
+        assert specs["compiled"] != specs["reference"]  # configs do differ
+        cache.put(specs["compiled"],
+                  make_record(specs["compiled"],
+                              execute_spec(specs["compiled"])))
         for spec in specs.values():
             assert cache.get(spec) is not None
         assert cache.corrupt == 0

@@ -7,8 +7,8 @@ import pytest
 
 from repro.noc import kernel as noc_kernel
 from repro.noc import mesh as noc_mesh
-from repro.noc.kernel import (NOC_KERNELS, CompiledKernel, FusedKernel,
-                              ReferenceKernel, compiled_kernel_available)
+from repro.noc.kernel import (NOC_KERNELS, CompiledKernel, ReferenceKernel,
+                              compiled_kernel_available)
 from repro.noc.mesh import MeshNoC, resolve_kernel_name
 from repro.registry import RegistryError
 from repro.sim.config import NoCConfig
@@ -20,9 +20,8 @@ needs_cext = pytest.mark.skipif(
 
 class TestRegistry:
     def test_stock_backends(self):
-        assert NOC_KERNELS.names() == ["reference", "fused", "compiled"]
+        assert NOC_KERNELS.names() == ["reference", "compiled"]
         assert NOC_KERNELS.get("reference").factory is ReferenceKernel
-        assert NOC_KERNELS.get("fused").factory is FusedKernel
         assert NOC_KERNELS.get("compiled").factory is CompiledKernel
 
     def test_default_backend_is_compiled(self):
@@ -30,7 +29,7 @@ class TestRegistry:
         # instantiates depends on host availability (fallback below).
         assert NoCConfig().kernel == "compiled"
         expected = (CompiledKernel if compiled_kernel_available()
-                    else FusedKernel)
+                    else ReferenceKernel)
         assert isinstance(MeshNoC(16).kernel, expected)
 
     def test_only_compiled_is_availability_gated(self):
@@ -42,8 +41,12 @@ class TestRegistry:
                 assert entry.is_available()
 
     def test_unknown_backend_rejected_at_config_time(self):
-        with pytest.raises(RegistryError, match="fused"):
-            NoCConfig(kernel="warp-drive")
+        # ``fused`` (the deleted pure-Python kernel) is as unknown as a
+        # typo, and the message lists what is registered.
+        for name in ("warp-drive", "fused"):
+            with pytest.raises(RegistryError,
+                               match="valid NoC kernels: reference, compiled"):
+                NoCConfig(kernel=name)
 
     def test_every_entry_has_description(self):
         assert all(entry.description for entry in NOC_KERNELS.entries())
@@ -56,13 +59,14 @@ class TestSelection:
 
     def test_env_override_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_NOC_KERNEL", "reference")
-        noc = MeshNoC(16, NoCConfig(kernel="fused"))
+        noc = MeshNoC(16, NoCConfig(kernel="compiled"))
         assert noc.kernel_name == "reference"
         assert isinstance(noc.kernel, ReferenceKernel)
 
     def test_empty_env_override_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_NOC_KERNEL", "")
-        assert resolve_kernel_name(NoCConfig(kernel="fused")) == "fused"
+        assert (resolve_kernel_name(NoCConfig(kernel="reference"))
+                == "reference")
 
     def test_invalid_env_override_lists_backends(self, monkeypatch):
         monkeypatch.setenv("REPRO_NOC_KERNEL", "nope")
@@ -81,7 +85,7 @@ class TestSelection:
 
 
 class TestAvailabilityFallback:
-    """A registered-but-unavailable backend resolves to ``fused`` with a
+    """A registered-but-unavailable backend resolves to ``reference`` with a
     one-line warning — specs naming ``compiled`` stay portable to hosts
     without the extension build."""
 
@@ -91,27 +95,30 @@ class TestAvailabilityFallback:
         # The once-per-process warning set must not leak between tests.
         monkeypatch.setattr(noc_mesh, "_FALLBACK_WARNED", set())
 
-    def test_unavailable_compiled_resolves_to_fused(self, no_cext, capsys):
-        assert resolve_kernel_name(NoCConfig(kernel="compiled")) == "fused"
-        assert "falling back to 'fused'" in capsys.readouterr().err
+    def test_unavailable_compiled_resolves_to_reference(self, no_cext,
+                                                        capsys):
+        assert (resolve_kernel_name(NoCConfig(kernel="compiled"))
+                == "reference")
+        assert "falling back to 'reference'" in capsys.readouterr().err
 
     def test_fallback_warns_once_per_process(self, no_cext, capsys):
         for _ in range(3):
             resolve_kernel_name(NoCConfig(kernel="compiled"))
         assert capsys.readouterr().err.count("falling back") == 1
 
-    def test_mesh_built_on_no_cext_host_uses_fused(self, no_cext):
+    def test_mesh_built_on_no_cext_host_uses_reference(self, no_cext):
         noc = MeshNoC(16, NoCConfig(kernel="compiled"))
-        assert noc.kernel_name == "fused"
-        assert isinstance(noc.kernel, FusedKernel)
+        assert noc.kernel_name == "reference"
+        assert isinstance(noc.kernel, ReferenceKernel)
 
     def test_env_override_to_compiled_also_falls_back(self, no_cext,
-                                                      monkeypatch):
+                                                      monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NOC_KERNEL", "compiled")
-        assert resolve_kernel_name(NoCConfig(kernel="reference")) == "fused"
+        assert (resolve_kernel_name(NoCConfig(kernel="reference"))
+                == "reference")
+        assert "'compiled' is unavailable" in capsys.readouterr().err
 
     def test_available_backends_never_fall_back(self, no_cext, capsys):
-        assert resolve_kernel_name(NoCConfig(kernel="fused")) == "fused"
         assert (resolve_kernel_name(NoCConfig(kernel="reference"))
                 == "reference")
         assert "falling back" not in capsys.readouterr().err
@@ -167,7 +174,6 @@ class TestMeshKernelSeparation:
     def test_kernel_module_owns_the_registry_entries(self):
         source = inspect.getsource(noc_kernel)
         assert 'NOC_KERNELS.register(\n    "reference"' in source
-        assert 'NOC_KERNELS.register(\n    "fused"' in source
         assert 'NOC_KERNELS.register(\n    "compiled"' in source
 
     def test_reset_contention_drops_compiled_reservers(self):

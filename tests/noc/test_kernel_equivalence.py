@@ -9,8 +9,9 @@ dispatches cores in time order), which both backends rely on for pruning;
 pruning *timing* is the one sanctioned difference, so state comparisons
 window intervals to the common live horizon (``live_intervals``).
 
-The stream tests parametrize over every registered non-reference backend
-(``fused`` and, where the extension is built, ``compiled``), so a new
+The stream tests take a ``noc_kernel`` argument, which ``conftest.py``
+parametrises over every registered non-reference backend (today
+``compiled``, skipped where the extension is not built), so a new
 ``NOC_KERNELS`` entry is held to the same bar by adding nothing here.
 """
 
@@ -20,27 +21,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.kernel import (NOC_KERNELS, PRUNE_SLACK,
-                              compiled_kernel_available, live_intervals)
+from repro.noc.kernel import NOC_KERNELS, PRUNE_SLACK, live_intervals
 from repro.noc.mesh import MeshNoC
 from repro.sim.config import NoCConfig, SystemConfig
 from repro.sim.queueing import ResourceSchedule
-
-
-def backend_params(include_reference=False):
-    """One pytest param per registered backend; entries whose
-    implementation is absent on this host are skipped, not silently
-    dropped, so a missing extension build is visible in the test report."""
-    params = []
-    for entry in NOC_KERNELS.entries():
-        if entry.name == "reference" and not include_reference:
-            continue
-        marks = ()
-        if not entry.is_available():
-            marks = pytest.mark.skip(
-                reason=f"backend {entry.name!r} unavailable on this host")
-        params.append(pytest.param(entry.name, marks=marks))
-    return params
 
 
 def kernel_pair(name, hop_latency=1.0):
@@ -49,12 +33,12 @@ def kernel_pair(name, hop_latency=1.0):
             NOC_KERNELS.get("reference").factory(hop_latency=hop_latency))
 
 
-def make_pair(kernel="fused", n_tiles=16):
+def make_pair(kernel, n_tiles=16):
     return (MeshNoC(n_tiles, NoCConfig(kernel=kernel)),
             MeshNoC(n_tiles, NoCConfig(kernel="reference")))
 
 
-def assert_same_state(fused, reference, newest_arrival):
+def assert_same_state(candidate, reference, newest_arrival):
     """Bit-identical busy totals and live coverage on every link.
 
     Coverage is windowed to a horizon neither backend has pruned past:
@@ -63,12 +47,13 @@ def assert_same_state(fused, reference, newest_arrival):
     outrun injection times, so a backend may legitimately prune past
     ``newest_arrival - PRUNE_SLACK``.
     """
-    links = set(fused.kernel.links()) | set(reference.kernel.links())
-    assert set(fused.kernel.links()) == set(reference.kernel.links())
+    links = set(candidate.kernel.links()) | set(reference.kernel.links())
+    assert set(candidate.kernel.links()) == set(reference.kernel.links())
     horizon = newest_arrival - PRUNE_SLACK
     for link in links:
-        assert fused.kernel.busy_time(link) == reference.kernel.busy_time(link)
-        f_starts, f_ends = fused.kernel.intervals(link)
+        assert (candidate.kernel.busy_time(link)
+                == reference.kernel.busy_time(link))
+        f_starts, f_ends = candidate.kernel.intervals(link)
         r_starts, r_ends = reference.kernel.intervals(link)
         link_horizon = max(horizon,
                            f_ends[0] if f_ends else float("-inf"),
@@ -78,39 +63,38 @@ def assert_same_state(fused, reference, newest_arrival):
         assert f == r, f"live coverage diverges on link {link}"
 
 
-def drive(stream, kernel="fused", n_tiles=16):
+def drive(stream, kernel, n_tiles=16):
     """Send one stream through both backends; return the meshes."""
-    fused, reference = make_pair(kernel, n_tiles)
+    candidate, reference = make_pair(kernel, n_tiles)
     newest = float("-inf")
     for i, (src, dst, payload, now) in enumerate(stream):
         newest = max(newest, now)
-        a = fused.send_fast(src, dst, payload, now)
+        a = candidate.send_fast(src, dst, payload, now)
         b = reference.send_fast(src, dst, payload, now)
         assert a == b, f"delivery time diverges at message {i}"
-    assert fused.traffic.noc_messages == reference.traffic.noc_messages
-    assert fused.traffic.noc_flits == reference.traffic.noc_flits
-    assert fused.traffic.noc_bytes == reference.traffic.noc_bytes
-    assert_same_state(fused, reference, newest)
+    assert candidate.traffic.noc_messages == reference.traffic.noc_messages
+    assert candidate.traffic.noc_flits == reference.traffic.noc_flits
+    assert candidate.traffic.noc_bytes == reference.traffic.noc_bytes
+    assert_same_state(candidate, reference, newest)
     if newest > 0:
-        assert (fused.link_utilization(newest)
+        assert (candidate.link_utilization(newest)
                 == reference.link_utilization(newest))
-        assert (fused.max_link_utilization(newest)
+        assert (candidate.max_link_utilization(newest)
                 == reference.max_link_utilization(newest))
-    return fused, reference
+    return candidate, reference
 
 
-@pytest.mark.parametrize("kernel", backend_params())
 class TestStreamEquivalence:
-    def test_in_order_uniform_random(self, kernel):
+    def test_in_order_uniform_random(self, noc_kernel):
         rng = random.Random(101)
         t, stream = 0.0, []
         for _ in range(4000):
             t += rng.random() * 4.0
             stream.append((rng.randrange(16), rng.randrange(16),
                            rng.choice([0, 8, 64, 72]), t))
-        drive(stream, kernel)
+        drive(stream, noc_kernel)
 
-    def test_bounded_out_of_order(self, kernel):
+    def test_bounded_out_of_order(self, noc_kernel):
         # Arrivals jitter backwards by far less than PRUNE_SLACK — the
         # disorder the event heap's in-flight lookahead can produce.
         rng = random.Random(202)
@@ -120,25 +104,25 @@ class TestStreamEquivalence:
             jitter = rng.random() * (PRUNE_SLACK / 4)
             stream.append((rng.randrange(16), rng.randrange(16),
                            rng.choice([8, 64]), max(0.0, base - jitter)))
-        drive(stream, kernel)
+        drive(stream, noc_kernel)
 
-    def test_exact_touch_coalescing(self, kernel):
+    def test_exact_touch_coalescing(self, noc_kernel):
         # Back-to-back messages on one route serialize behind each other:
         # each arrival lands exactly on the previous reservation's end,
         # exercising the exact-touch coalesce on every link.
-        fused, reference = make_pair(kernel)
+        candidate, reference = make_pair(noc_kernel)
         t_f = t_r = 0.0
         newest = 0.0
         for i in range(500):
             newest = max(newest, t_f)
-            a = fused.send_fast(0, 15, 64, t_f)
+            a = candidate.send_fast(0, 15, 64, t_f)
             b = reference.send_fast(0, 15, 64, t_r)
             assert a == b
             # Re-inject exactly when the head would clear the first link.
             t_f = t_r = a - a % 1.0 if i % 7 == 0 else a
-        assert_same_state(fused, reference, newest)
+        assert_same_state(candidate, reference, newest)
 
-    def test_prune_window_crossings(self, kernel):
+    def test_prune_window_crossings(self, noc_kernel):
         # Idle gaps longer than the prune trigger force both backends to
         # discard history at (different) moments; live state and
         # placements must not move.
@@ -150,9 +134,9 @@ class TestStreamEquivalence:
                 stream.append((rng.randrange(16), rng.randrange(16),
                                rng.choice([8, 64, 72]), t))
             t += 2.5 * ResourceSchedule.PRUNE_TRIGGER   # cross the window
-        drive(stream, kernel)
+        drive(stream, noc_kernel)
 
-    def test_saturated_links(self, kernel):
+    def test_saturated_links(self, noc_kernel):
         # Every message crosses the same central column: heavy contention,
         # long busy runs, constant slow-path placements.
         rng = random.Random(404)
@@ -161,12 +145,12 @@ class TestStreamEquivalence:
             t += rng.random() * 0.5
             stream.append((rng.choice([0, 1, 4, 5]),
                            rng.choice([10, 11, 14, 15]), 64, t))
-        drive(stream, kernel)
+        drive(stream, noc_kernel)
 
-    def test_heap_ordered_closed_loop(self, kernel):
+    def test_heap_ordered_closed_loop(self, noc_kernel):
         # Self-clocking senders dispatched in global time order — the
         # sharpest model of the simulator's traffic.
-        fused, reference = make_pair(kernel)
+        candidate, reference = make_pair(noc_kernel)
         rng = random.Random(505)
         pairs = [(rng.randrange(16), rng.randrange(16)) for _ in range(32)]
         heap = [(i * 0.25, i) for i in range(32)]
@@ -176,15 +160,24 @@ class TestStreamEquivalence:
             t, i = heapq.heappop(heap)
             newest = max(newest, t)
             src, dst = pairs[i]
-            a = fused.send_fast(src, dst, 64 if i % 3 else 8, t)
+            a = candidate.send_fast(src, dst, 64 if i % 3 else 8, t)
             b = reference.send_fast(src, dst, 64 if i % 3 else 8, t)
             assert a == b
             heapq.heappush(heap, (a + 1.0, i))
-        assert_same_state(fused, reference, newest)
+        assert_same_state(candidate, reference, newest)
 
 
 class TestWholeRunEquivalence:
-    @pytest.mark.parametrize("kernel", backend_params())
+    """Whole-run fingerprints under every non-reference backend selection.
+
+    Parametrised directly rather than through the ``noc_kernel`` skip: on a
+    host without the extension, selecting ``compiled`` resolves to
+    ``reference`` through the mesh fallback, so the run still checks that
+    the selection a user makes reproduces the reference fingerprint.
+    """
+
+    @pytest.mark.parametrize("kernel", [e.name for e in NOC_KERNELS.entries()
+                                        if e.name != "reference"])
     @pytest.mark.parametrize("prefetcher", ["none", "imp"])
     def test_run_workload_fingerprints_match(self, prefetcher, kernel):
         from repro.registry import WORKLOADS
@@ -226,10 +219,9 @@ def storm_arrivals(stream):
         yield max(0.0, base - jitter), serialization
 
 
-@pytest.mark.parametrize("kernel", backend_params())
 class TestFrontierResumeProperties:
     """Hypothesis attacks on the frontier-resume search path, the one part
-    of the fused/compiled algorithm with no counterpart in the reference
+    of the compiled algorithm with no counterpart in the reference
     backend: out-of-order bisect storms (every placement lands behind the
     watermark, so every placement exercises the frontier validity check),
     zero-length reservations interleaved between them, and reservations at
@@ -237,8 +229,8 @@ class TestFrontierResumeProperties:
 
     @given(stream=storm_streams)
     @settings(max_examples=40, deadline=None)
-    def test_out_of_order_bisect_storm(self, kernel, stream):
-        candidate, reference = kernel_pair(kernel)
+    def test_out_of_order_bisect_storm(self, noc_kernel, stream):
+        candidate, reference = kernel_pair(noc_kernel)
         for arrival, serialization in storm_arrivals(stream):
             assert (candidate.route_reserver(ROUTE, serialization)(arrival)
                     == reference.route_reserver(ROUTE, serialization)(arrival))
@@ -247,9 +239,9 @@ class TestFrontierResumeProperties:
 
     @given(stream=storm_streams)
     @settings(max_examples=40, deadline=None)
-    def test_zero_length_reservations_never_occupy_links(self, kernel,
-                                                         stream):
-        candidate, reference = kernel_pair(kernel)
+    def test_zero_length_reservations_never_occupy_links(self, noc_kernel,
+                                                             stream):
+        candidate, reference = kernel_pair(noc_kernel)
         busy = 0.0
         for arrival, serialization in storm_arrivals(stream):
             a = candidate.route_reserver((LINK,), serialization)(arrival)
@@ -267,15 +259,15 @@ class TestFrontierResumeProperties:
                                       allow_nan=False),
                             min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
-    def test_post_sweep_reservation_at_pruned_boundary(self, kernel, stream,
-                                                       offsets):
+    def test_post_sweep_reservation_at_pruned_boundary(self, noc_kernel,
+                                                       stream, offsets):
         # Force a sweep at the newest arrival, then reserve at exactly the
         # pruned cutoff (newest - PRUNE_SLACK, the oldest arrival the
         # bounded-disorder invariant permits) and at offsets above it.
         # The reference backend prunes on its own schedule and may still
         # retain (and exact-touch coalesce with) intervals the swept
         # backend discarded; placements and busy totals must not move.
-        candidate, reference = kernel_pair(kernel)
+        candidate, reference = kernel_pair(noc_kernel)
         newest = 0.0
         for arrival, serialization in storm_arrivals(stream):
             newest = max(newest, arrival)

@@ -1,13 +1,16 @@
-"""Property-based tests for the fused NoC reservation kernel.
+"""Property-based tests for the NoC reservation kernels.
 
 The randomized equivalence suite (tests/noc/) drives whole meshes; these
-properties attack the kernel directly with hypothesis-generated
+properties attack the kernels directly with hypothesis-generated
 bounded-disorder streams, the regime every backend is specified for.
+Tests taking ``noc_kernel`` run once per non-reference backend
+(``conftest.py``), skipped where its implementation is not built.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.kernel import (FusedKernel, PRUNE_SLACK, ReferenceKernel,
+from repro.noc.kernel import (NOC_KERNELS, PRUNE_SLACK, ReferenceKernel,
                               live_intervals)
 from repro.sim.queueing import ResourceSchedule
 
@@ -34,60 +37,54 @@ def arrivals(stream):
 @given(stream=streams, hop=st.floats(min_value=0, max_value=4,
                                      allow_nan=False))
 @settings(max_examples=60)
-def test_single_link_parity_with_resource_schedule(stream, hop):
+def test_single_link_parity_with_resource_schedule(noc_kernel, stream, hop):
     # Per-link placement must be bit-identical to the executable spec:
-    # delivery through a one-link fused route equals the schedule's start
-    # plus hop latency plus the pipeline drain.
-    fused = FusedKernel(hop_latency=hop)
+    # delivery through a one-link route equals the schedule's start plus
+    # hop latency plus the pipeline drain.
+    kernel = NOC_KERNELS.get(noc_kernel).factory(hop_latency=hop)
     spec = ResourceSchedule()
     for arrival, serialization in arrivals(stream):
-        reserve = fused.route_reserver((LINK,), serialization)
+        reserve = kernel.route_reserver((LINK,), serialization)
         start = spec.reserve(arrival, serialization)
         assert reserve(arrival) == start + hop + serialization
-    assert fused.busy_time(LINK) == spec.busy_time()
+    assert kernel.busy_time(LINK) == spec.busy_time()
 
 
+@pytest.mark.parametrize("name", NOC_KERNELS.names())
 @given(stream=streams)
 @settings(max_examples=60)
-def test_slab_invariants_hold_after_every_reservation(stream):
-    fused = FusedKernel(hop_latency=1.0)
-    newest = 0.0
+def test_slab_invariants_hold_after_every_reservation(name, stream):
+    # What every backend exposes after each reservation: sorted, disjoint,
+    # non-touching live intervals (reserve coalesces exact touches) and a
+    # busy total that counts every reservation exactly once.
+    if not NOC_KERNELS.get(name).is_available():
+        pytest.skip(f"backend {name!r} unavailable on this host")
+    kernel = NOC_KERNELS.get(name).factory(hop_latency=1.0)
+    busy = 0.0
     for arrival, serialization in arrivals(stream):
-        newest = max(newest, arrival)
-        fused.route_reserver((LINK,), serialization)(arrival)
-        state = fused._states[fused._ids[LINK]]
-        starts, ends, head, frontier = state[2], state[3], state[4], state[5]
-        n = len(ends)
-        assert len(starts) == n
-        assert 0 <= head <= n
-        assert 0 <= frontier <= n
-        assert state[0] == (ends[-1] if ends else float("-inf")), \
-            "watermark out of sync with the tail interval"
+        kernel.route_reserver((LINK,), serialization)(arrival)
+        busy += serialization
+        starts, ends = kernel.intervals(LINK)
+        assert len(starts) == len(ends) >= 1
         for start, end in zip(starts, ends):
             assert start < end
-        for i in range(1, n):
-            assert ends[i - 1] < ends[i]
-            assert starts[i] >= ends[i - 1]
-            if i > head:
-                # Live neighbours must never exactly touch — reserve
-                # coalesces them.  (A live interval may touch a dead one
-                # across the head boundary: coalescing stops at the
-                # logical prune point.)
-                assert starts[i] > ends[i - 1]
-    # The retained live suffix is what intervals() exposes.
-    live_starts, live_ends = fused.intervals(LINK)
-    assert live_starts == starts[head:]
-    assert live_ends == ends[head:]
+        for i in range(1, len(ends)):
+            assert starts[i] > ends[i - 1], \
+                "live intervals must be sorted, disjoint and non-touching"
+        # The newest reservation is live: it ends at or after its arrival.
+        assert ends[-1] >= arrival + serialization
+        assert kernel.busy_time(LINK) == busy
 
 
 @given(stream=streams)
 @settings(max_examples=60)
-def test_forced_sweeps_never_change_placements(stream):
+def test_forced_sweeps_never_change_placements(noc_kernel, stream):
     # Sweep timing is an implementation freedom: a kernel swept after
     # every single message must place identically to one that never
     # sweeps on its own schedule.
-    swept = FusedKernel(hop_latency=1.0)
-    unswept = FusedKernel(hop_latency=1.0)
+    factory = NOC_KERNELS.get(noc_kernel).factory
+    swept = factory(hop_latency=1.0)
+    unswept = factory(hop_latency=1.0)
     newest = 0.0
     for arrival, serialization in arrivals(stream):
         newest = max(newest, arrival)
@@ -103,17 +100,17 @@ def test_forced_sweeps_never_change_placements(stream):
 
 @given(stream=streams)
 @settings(max_examples=40)
-def test_multi_link_route_parity_with_reference(stream):
+def test_multi_link_route_parity_with_reference(noc_kernel, stream):
     # A three-hop route, reserved link by link by the reference backend
-    # and in one fused pass, must agree end to end.
+    # and in one whole-route pass by the candidate, must agree end to end.
     route = ((0, 1), (1, 5), (5, 6))
-    fused = FusedKernel(hop_latency=1.0)
+    candidate = NOC_KERNELS.get(noc_kernel).factory(hop_latency=1.0)
     reference = ReferenceKernel(hop_latency=1.0)
     for arrival, serialization in arrivals(stream):
-        assert (fused.route_reserver(route, serialization)(arrival)
+        assert (candidate.route_reserver(route, serialization)(arrival)
                 == reference.route_reserver(route, serialization)(arrival))
     for link in route:
-        assert fused.busy_time(link) == reference.busy_time(link)
+        assert candidate.busy_time(link) == reference.busy_time(link)
 
 
 @given(stream=streams,

@@ -95,13 +95,13 @@ class TestProbesAndRegistries:
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
         _, envelope, _ = api.handle("GET", "/v1/registries")
         names = [e["name"] for e in envelope["data"]["registries"]["noc-kernels"]]
-        assert names == ["reference", "fused"]
+        assert names == ["reference"]
         monkeypatch.delenv("REPRO_NO_CEXT")
         if compiled_kernel_available():
             _, envelope, _ = api.handle("GET", "/v1/registries")
             names = [e["name"]
                      for e in envelope["data"]["registries"]["noc-kernels"]]
-            assert names == ["reference", "fused", "compiled"]
+            assert names == ["reference", "compiled"]
 
 
 class TestSubmission:

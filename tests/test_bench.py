@@ -42,26 +42,32 @@ class TestRunBenchmark:
 
 class TestKernelAB:
     def test_same_session_ab_document_shape(self):
+        from repro.noc.kernel import compiled_kernel_available
+        if not compiled_kernel_available():
+            pytest.skip("repro._nockernel extension not built")
         document = run_benchmark(cores=4, seed=1, repeat=1, quick=True,
                                  workloads=["indirect_stream"],
-                                 ab_kernels=["reference", "fused"],
+                                 ab_kernels=["reference", "compiled"],
                                  out=io.StringIO())
         section = document["kernel_ab"]
-        assert section["kernels"] == ["reference", "fused"]
+        assert section["kernels"] == ["reference", "compiled"]
         assert section["baseline_kernel"] == "reference"
         # Fingerprint identity across backends is enforced during
         # collection (a divergence raises), so the section records True.
         assert section["fingerprints_identical"] is True
         keys = {f"indirect_stream/{p}" for p in PREFETCHERS}
-        for kernel in ("reference", "fused"):
+        for kernel in ("reference", "compiled"):
             assert set(section["wall_seconds"][kernel]) == keys
             assert all(wall > 0
                        for wall in section["wall_seconds"][kernel].values())
-        speedups = section["speedup_by_scenario"]["fused"]
-        assert set(speedups) == keys
+        # Every non-baseline backend gets its own speedup column and
+        # miss-heavy geomean entry.
+        assert set(section["speedup_by_scenario"]) == {"compiled"}
+        assert set(section["speedup_by_scenario"]["compiled"]) == keys
         assert section["miss_heavy_rows"] == sorted(
             key for key in keys if key.rsplit("/", 1)[-1] in ("ghb", "imp"))
-        geomean = section["miss_heavy_geomean_speedup"]["fused"]
+        assert set(section["miss_heavy_geomean_speedup"]) == {"compiled"}
+        geomean = section["miss_heavy_geomean_speedup"]["compiled"]
         assert geomean is not None and geomean > 0
         # The headline scenarios table carries the default backend's walls
         # when it took part in the A/B, else the baseline backend's.
@@ -73,41 +79,17 @@ class TestKernelAB:
             assert document["scenarios"][key]["wall_seconds"] \
                 == section["wall_seconds"][headline][key]
 
-    def test_three_way_ab_in_one_session(self):
-        from repro.noc.kernel import compiled_kernel_available
-        if not compiled_kernel_available():
-            pytest.skip("repro._nockernel extension not built")
-        document = run_benchmark(cores=4, seed=1, repeat=1, quick=True,
-                                 workloads=["indirect_stream"],
-                                 ab_kernels=["reference", "fused",
-                                             "compiled"],
-                                 out=io.StringIO())
-        section = document["kernel_ab"]
-        assert section["kernels"] == ["reference", "fused", "compiled"]
-        assert section["baseline_kernel"] == "reference"
-        assert section["fingerprints_identical"] is True
-        keys = {f"indirect_stream/{p}" for p in PREFETCHERS}
-        for kernel in ("reference", "fused", "compiled"):
-            assert set(section["wall_seconds"][kernel]) == keys
-        # Every non-baseline backend gets its own speedup column and
-        # miss-heavy geomean entry.
-        assert set(section["speedup_by_scenario"]) == {"fused", "compiled"}
-        assert set(section["miss_heavy_geomean_speedup"]) == {"fused",
-                                                              "compiled"}
-        for geomean in section["miss_heavy_geomean_speedup"].values():
-            assert geomean is not None and geomean > 0
-
     def test_unknown_kernel_fails_fast(self):
         from repro.registry import RegistryError
 
-        with pytest.raises(RegistryError, match="fused"):
+        with pytest.raises(RegistryError, match="reference, compiled"):
             run_benchmark(cores=4, seed=1, quick=True,
                           workloads=["indirect_stream"],
                           ab_kernels=["typo"], out=io.StringIO())
 
     def test_unavailable_kernel_fails_fast(self, monkeypatch):
-        # The mesh would silently substitute fused and make the compiled
-        # lane an A/A; the harness must refuse instead.
+        # The mesh would silently substitute reference and make the
+        # compiled lane an A/A; the harness must refuse instead.
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
         with pytest.raises(RuntimeError, match="unavailable"):
             run_benchmark(cores=4, seed=1, quick=True,
@@ -118,12 +100,13 @@ class TestKernelAB:
     def test_ab_ignores_ambient_kernel_override(self, monkeypatch):
         # An exported $REPRO_NOC_KERNEL would turn the A/B into an A/A;
         # the harness measures the named backends and restores the
-        # variable afterwards.
+        # variable afterwards.  One lane exercises that handling and runs
+        # on hosts without the compiled extension.
         monkeypatch.setenv("REPRO_NOC_KERNEL", "reference")
         import os
         run_benchmark(cores=4, seed=1, quick=True,
                       workloads=["indirect_stream"],
-                      ab_kernels=["reference", "fused"], out=io.StringIO())
+                      ab_kernels=["reference"], out=io.StringIO())
         assert os.environ["REPRO_NOC_KERNEL"] == "reference"
 
 

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import FIGURES, main
+from repro.registry import NOC_KERNELS
 
 
 def run_cli(*argv) -> str:
@@ -16,7 +17,7 @@ def run_cli(*argv) -> str:
 
 class TestListAndCost:
     def test_list_workloads_names_all_seven(self):
-        output = run_cli("list-workloads")
+        output = run_cli("list", "workloads")
         for name in ("pagerank", "tri_count", "graph500", "sgd", "lsh",
                      "spmv", "symgs"):
             assert name in output
@@ -106,7 +107,6 @@ class TestRegistryList:
     def test_list_includes_noc_kernels(self):
         output = run_cli("list", "noc-kernels")
         assert "reference" in output
-        assert "fused" in output
 
     def test_list_hides_unavailable_compiled_kernel(self, monkeypatch):
         from repro.noc.kernel import compiled_kernel_available
@@ -117,12 +117,11 @@ class TestRegistryList:
                     if line.startswith("  ")]
 
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
-        assert listed(run_cli("list", "noc-kernels")) == ["reference",
-                                                          "fused"]
+        assert listed(run_cli("list", "noc-kernels")) == ["reference"]
         monkeypatch.delenv("REPRO_NO_CEXT")
         if compiled_kernel_available():
             assert listed(run_cli("list", "noc-kernels")) == [
-                "reference", "fused", "compiled"]
+                "reference", "compiled"]
 
 
 class TestScenario:
@@ -135,10 +134,30 @@ class TestScenario:
         assert "hierarchy         : l1(private) -> l2(shared) -> dram" in output
         assert "fingerprint       :" in output
 
-    def test_scenario_fingerprint_check_passes(self):
+    @pytest.mark.parametrize("kernel", NOC_KERNELS.names())
+    def test_scenario_fingerprint_check_passes(self, kernel, monkeypatch):
+        # The golden replays bit for bit under every NoC kernel backend.
+        if not NOC_KERNELS.get(kernel).is_available():
+            pytest.skip(f"backend {kernel!r} unavailable on this host")
+        monkeypatch.setenv("REPRO_NOC_KERNEL", kernel)
         output = run_cli("run", "--scenario", self.SCENARIO,
                          "--expect-fingerprint", self.FINGERPRINT)
         assert "fingerprint check : ok" in output
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "indirect_stream", "--cores", "4"),
+        ("run", "--scenario", SCENARIO),
+    ], ids=["workload", "scenario"])
+    @pytest.mark.parametrize("name", ["bogus", "fused"])
+    def test_unknown_kernel_env_override_is_a_clean_error(self, argv, name,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_NOC_KERNEL", name)
+        out = io.StringIO()
+        assert main(list(argv), out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert lines == [
+            f"error: $REPRO_NOC_KERNEL: unknown NoC kernel {name!r}; "
+            f"valid NoC kernels: reference, compiled"]
 
     def test_three_level_scenario_runs(self):
         output = run_cli(
