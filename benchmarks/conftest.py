@@ -142,9 +142,14 @@ def bench_core_counts():
 
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
-    """One shared (caching) runner so figures reuse common simulations."""
+    """One shared (caching) runner so figures reuse common simulations.
+
+    Each figure batches its runs through ``runner.prefetch``, which fans
+    them out over two sweep workers; results are bit-identical to serial
+    execution."""
     return ExperimentRunner(scale=bench_scale(), seed=1,
-                            base_config=scaled_config(bench_cores()))
+                            base_config=scaled_config(bench_cores()),
+                            jobs=2)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from repro.experiments import figures
 
 def test_fig13_ooo(benchmark):
     rows = run_once(benchmark, figures.fig13_ooo, n_cores=bench_cores(),
-                    scale=bench_scale())
+                    scale=bench_scale(), jobs=2)
     record_table("Figure 13: in-order vs out-of-order cores", rows)
     for row in rows:
         # The OoO baseline is the reference (1.0) and beats the in-order one.

@@ -1,14 +1,12 @@
 """Memory hierarchy substrate: caches, coherence directory, DRAM."""
 
-from repro.memory.cache import Cache, CacheLine, AccessResult
+from repro.memory.cache import Cache
 from repro.memory.coherence import Directory, DirectoryEntry
 from repro.memory.dram import SimpleDram, BankedDram, make_dram
 
 __all__ = [
-    "AccessResult",
     "BankedDram",
     "Cache",
-    "CacheLine",
     "Directory",
     "DirectoryEntry",
     "SimpleDram",

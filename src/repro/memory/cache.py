@@ -13,27 +13,27 @@ values through :class:`repro.mem_image.MemoryImage`).  Lines track:
 * a valid-bit mask over sectors when the cache is sectored (Section 4.1) and
   a touched-bit mask used by the granularity predictor.
 
-``Cache.access`` sits on the hot path of every simulated memory reference,
-so the steady-state storage is **flat preallocated columns**, not objects:
-one slot per (set, way) in parallel columns holding tag, line address,
-ready time, LRU stamp, insertion sequence number, packed status flags and
-the two sector masks.  A per-set ``{tag: way}`` dict provides the O(1)
-probe; misses, fills and evictions move integers and floats between the
-columns and allocate nothing.  (The columns are plain Python lists rather
-than ``array('q')``/``array('d')`` buffers: ``array`` re-boxes a fresh
+The cache sits on the hot path of every simulated memory reference, so
+its storage is **flat preallocated columns**, not objects: one slot per
+(set, way) in parallel columns holding tag, line address, ready time, LRU
+stamp, insertion sequence number, packed status flags and the two sector
+masks.  A per-set ``{tag: way}`` dict provides the O(1) probe; misses,
+fills and evictions move integers and floats between the columns and
+allocate nothing.  (The columns are plain Python lists rather than
+``array('q')``/``array('d')`` buffers: ``array`` re-boxes a fresh
 int/float object on *every* subscript read, which measures ~40% slower on
 the miss-heavy fill/evict loop this layout exists for.)
 
-:class:`CacheLine` objects survive only at the slow-path API boundary —
-:meth:`probe`, :meth:`access`, :meth:`fill`, :meth:`invalidate` and
-:meth:`resident_lines` materialise read-only snapshots for tests and
-external callers.  The hot path (:meth:`access_fast` / :meth:`fill_fast`)
-returns scalars, and eviction victims are exposed as the ``victim_addr`` /
-``victim_dirty`` / ``victim_touched`` scalar scratch fields, valid until
-the next fill into the same cache.
+The API is scalar throughout: :meth:`Cache.access_fast` /
+:meth:`Cache.access_hit` for demand lookups, :meth:`Cache.fill_fast` for
+fills and :meth:`Cache.invalidate_fast` for invalidations.  Eviction
+victims are exposed as the ``victim_addr`` / ``victim_dirty`` /
+``victim_touched`` scalar scratch fields, valid until the next fill into
+the same cache.  No per-line object exists; whoever needs a line's state
+reads the columns at the slot :meth:`Cache._way_of` returns.
 
 Victim selection is true LRU with the insertion-order tie-break of the
-previous ``Dict[int, CacheLine]`` representation: the per-line ``seq``
+previous dict-of-line-objects representation: the per-line ``seq``
 column carries a monotonically increasing fill sequence number, and the
 victim is the minimum of ``(last_use, seq)`` — bit-identical to
 ``min(cache_set, key=last_use)`` over an insertion-ordered dict.
@@ -61,58 +61,6 @@ def _shift_of(value: int) -> Optional[int]:
     if value > 0 and (value & (value - 1)) == 0:
         return value.bit_length() - 1
     return None
-
-
-class CacheLine:
-    """Read-only snapshot of one resident cache line (API boundary only).
-
-    The simulator's steady state lives in the flat columns of
-    :class:`Cache`; a ``CacheLine`` is materialised on demand for tests and
-    slow-path callers.  Mutating a snapshot does not write back.
-    """
-
-    __slots__ = ("tag", "addr", "valid", "dirty", "ready_time", "last_use",
-                 "from_prefetch", "prefetch_referenced", "sector_valid",
-                 "sector_touched")
-
-    def __init__(self, tag: int, addr: int, valid: bool = True,
-                 dirty: bool = False, ready_time: float = 0.0,
-                 last_use: float = 0.0, from_prefetch: bool = False,
-                 prefetch_referenced: bool = False, sector_valid: int = 0,
-                 sector_touched: int = 0) -> None:
-        self.tag = tag
-        self.addr = addr                     # base address of the line
-        self.valid = valid
-        self.dirty = dirty
-        self.ready_time = ready_time
-        self.last_use = last_use
-        self.from_prefetch = from_prefetch
-        self.prefetch_referenced = prefetch_referenced
-        self.sector_valid = sector_valid     # bit i set => sector i present
-        self.sector_touched = sector_touched  # bit i set => sector i referenced
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CacheLine(tag={self.tag:#x}, addr={self.addr:#x}, "
-                f"dirty={self.dirty}, sector_valid={self.sector_valid:#x})")
-
-
-class AccessResult:
-    """Outcome of a cache lookup/access."""
-
-    __slots__ = ("hit", "line", "sector_miss", "evicted", "was_prefetched",
-                 "ready_time")
-
-    def __init__(self, hit: bool, line: Optional[CacheLine] = None,
-                 sector_miss: bool = False,
-                 evicted: Optional[CacheLine] = None,
-                 was_prefetched: bool = False,
-                 ready_time: float = 0.0) -> None:
-        self.hit = hit
-        self.line = line
-        self.sector_miss = sector_miss     # line present but the sector is not
-        self.evicted = evicted
-        self.was_prefetched = was_prefetched  # hit on a prefetch-installed line
-        self.ready_time = ready_time       # when the in-flight line is usable
 
 
 class Cache:
@@ -232,43 +180,15 @@ class Cache:
                                & self._set_mask].get(addr >> self._tag_shift)
         return self._index[self.set_index(addr)].get(self.tag_of(addr))
 
-    def _line_view(self, way: int) -> CacheLine:
-        """Materialise a :class:`CacheLine` snapshot of one slot."""
-        flags = self._flags[way]
-        return CacheLine(self._tags[way], self._addrs[way], True,
-                         bool(flags & FLAG_DIRTY), self._ready[way],
-                         self._last_use[way],
-                         bool(flags & FLAG_FROM_PREFETCH),
-                         bool(flags & FLAG_PREFETCH_REFERENCED),
-                         self._sector_valid[way], self._sector_touched[way])
-
-    def probe(self, addr: int) -> Optional[CacheLine]:
-        """Snapshot of the resident line containing ``addr`` (no side
-        effects); None when absent.  Slow path — hot callers use the way
-        index and columns directly."""
-        way = self._way_of(addr)
-        return None if way is None else self._line_view(way)
-
-    def access(self, addr: int, size: int, is_write: bool, now: float) -> AccessResult:
-        """Perform a demand access and return the outcome.
-
-        A hit updates LRU, dirty and touch state.  A miss (or sector miss)
-        leaves the cache unmodified; the caller is expected to call
-        :meth:`fill` once the data has been fetched.
-        """
-        hit = self.access_fast(addr, size, is_write, now)
-        line = self.probe(addr)
-        if hit is None:
-            return AccessResult(hit=False, line=line,
-                                sector_miss=line is not None)
-        ready_time, was_prefetched = hit
-        return AccessResult(hit=True, line=line, was_prefetched=was_prefetched,
-                            ready_time=ready_time)
-
     def access_fast(self, addr: int, size: int, is_write: bool, now: float):
-        """Hot-path demand access: ``(ready_time, was_prefetched)`` on a hit,
-        ``None`` on a miss.  Same state transitions and counters as
-        :meth:`access`, without building an :class:`AccessResult`."""
+        """Demand access: ``(ready_time, was_prefetched)`` on a hit, ``None``
+        on a miss (including a sector miss: the line is present but a
+        requested sector is not).
+
+        A hit updates LRU, dirty and touch state.  A miss leaves the lines
+        unmodified; the caller calls :meth:`fill_fast` once the data has
+        been fetched.  ``was_prefetched`` is True on the first demand hit
+        of a prefetch-installed line."""
         self.accesses += 1
         if self._tag_shift is not None:
             way = self._index[(addr >> self._line_shift)
@@ -337,39 +257,21 @@ class Cache:
     # ------------------------------------------------------------------
     # Fill / eviction
     # ------------------------------------------------------------------
-    def fill(self, addr: int, now: float, ready_time: float, *,
-             is_prefetch: bool = False, is_write: bool = False,
-             sectors: Optional[int] = None) -> AccessResult:
-        """Install (or extend) the line containing ``addr``.
-
-        ``sectors`` is the mask of sectors being brought in; ``None`` means
-        the full line.  Returns an :class:`AccessResult` whose ``evicted``
-        field carries a snapshot of the victim line, if any (the caller
-        charges write-back traffic for dirty victims).
-        """
-        # Snapshot the victim (if this fill will evict) before the columns
-        # are overwritten; fill_fast repeats the same deterministic scan.
-        evicted = None
-        if self._tag_shift is not None:
-            set_i = (addr >> self._line_shift) & self._set_mask
-            tag = addr >> self._tag_shift
-        else:
-            set_i = self.set_index(addr)
-            tag = self.tag_of(addr)
-        if tag not in self._index[set_i] and not self._free[set_i]:
-            evicted = self._line_view(self._victim_way(set_i))
-        self.fill_fast(addr, now, ready_time, is_prefetch, is_write, sectors)
-        way = self._index[set_i][tag]
-        return AccessResult(hit=True, line=self._line_view(way),
-                            evicted=evicted, ready_time=self._ready[way])
-
     def fill_fast(self, addr: int, now: float, ready_time: float,
                   is_prefetch: bool = False, is_write: bool = False,
                   sectors: Optional[int] = None) -> bool:
-        """Hot-path :meth:`fill`: returns True when a line was evicted, in
-        which case ``victim_addr`` / ``victim_dirty`` / ``victim_touched``
-        describe the victim (valid until the next fill).  Allocates
-        nothing."""
+        """Install (or extend) the line containing ``addr``.
+
+        ``sectors`` is the mask of sectors being brought in; ``None`` means
+        the full line.  Returns True when a line was evicted, in which case
+        ``victim_addr`` / ``victim_dirty`` / ``victim_touched`` describe the
+        victim (valid until the next fill; the caller charges write-back
+        traffic for dirty victims).  Allocates nothing.
+
+        The victim of a full set is its true-LRU line: the minimum
+        ``(last_use, seq)``, where the ``seq`` tie-break reproduces the
+        insertion-order iteration of the previous dict-of-lines
+        representation."""
         if self._tag_shift is not None:
             set_i = (addr >> self._line_shift) & self._set_mask
             tag = addr >> self._tag_shift
@@ -400,7 +302,7 @@ class Cache:
         if free:
             way = free.pop()
         else:
-            # _victim_way, inlined (per steady-state miss).
+            # LRU victim scan (per steady-state miss).
             seq_col = self._seq
             base = set_i * self.assoc
             way = base
@@ -446,43 +348,9 @@ class Cache:
         index[tag] = way
         return evicted
 
-    def _victim_way(self, set_i: int) -> int:
-        """LRU victim slot of a full set: minimum ``(last_use, seq)``.
-
-        The ``seq`` tie-break reproduces the insertion-order iteration of
-        the previous dict-of-lines representation, so victim choice (and
-        therefore every downstream fingerprint) is unchanged.
-        """
-        last_use = self._last_use
-        seq = self._seq
-        base = set_i * self.assoc
-        way = base
-        best = last_use[base]
-        best_seq = seq[base]
-        for slot in range(base + 1, base + self.assoc):
-            stamp = last_use[slot]
-            if stamp < best or (stamp == best and seq[slot] < best_seq):
-                best = stamp
-                best_seq = seq[slot]
-                way = slot
-        return way
-
-    def invalidate(self, addr: int) -> Optional[CacheLine]:
-        """Invalidate the line containing ``addr``; return a snapshot of it
-        if it was present."""
-        way = self._way_of(addr)
-        if way is None:
-            return None
-        line = self._line_view(way)
-        set_i = self.set_index(addr)
-        del self._index[set_i][self._tags[way]]
-        self._free[set_i].append(way)
-        return line
-
     def invalidate_fast(self, addr: int) -> Optional[int]:
-        """Hot-path :meth:`invalidate`: returns the victim's flags (test
-        ``FLAG_DIRTY`` for write-back) or None when absent.  Allocates no
-        snapshot."""
+        """Invalidate the line containing ``addr``: returns its flags (test
+        ``FLAG_DIRTY`` for write-back) or None when it was absent."""
         way = self._way_of(addr)
         if way is None:
             return None
@@ -493,13 +361,8 @@ class Cache:
         return flags
 
     # ------------------------------------------------------------------
-    # Introspection helpers (used by tests)
+    # Introspection helpers
     # ------------------------------------------------------------------
-    def resident_lines(self) -> List[CacheLine]:
-        """Return a snapshot of every valid line currently in the cache."""
-        return [self._line_view(way)
-                for index in self._index for way in index.values()]
-
     def occupancy(self) -> int:
         """Number of resident lines."""
         return sum(len(index) for index in self._index)

@@ -36,8 +36,8 @@ prefetcher explicitly (hybrid stream@L1 + IMP@L2) or inherit the
 experiment mode's choice.
 
 Hot-path notes: cores call :meth:`MemorySystem.access_fast` with plain
-scalars (no :class:`MemRef` is built per dynamic reference); the in-order
-core serves plain L1 hits itself (see
+scalars (no :class:`~repro.sim.trace.MemRef` is built per dynamic
+reference); the in-order core serves plain L1 hits itself (see
 :class:`repro.sim.core_model.InOrderCore`), so ``access_fast`` mostly sees
 L1 misses.  One :class:`AccessContext` per memory system is reused across
 prefetcher notifications, and attachments whose prefetcher can never issue
@@ -47,7 +47,6 @@ machinery entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.mem_image import MemoryImage
@@ -60,7 +59,6 @@ from repro.prefetchers.factory import make_prefetcher_factory
 from repro.prefetchers.null import NullPrefetcher
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, SystemStats, TrafficStats
-from repro.sim.trace import MemRef
 
 
 #: Size in bytes of a coherence/request header message on the NoC.
@@ -101,17 +99,6 @@ class _Attach:
             type(p).on_eviction is not PrefetcherBase.on_eviction
             and getattr(p, "observes_evictions", True)
             for p in prefetchers]
-
-
-@dataclass
-class AccessOutcome:
-    """What happened for one demand access."""
-
-    latency: float
-    l1_hit: bool
-    l2_hit: bool = False
-    covered_by_prefetch: bool = False
-    late_prefetch_cycles: float = 0.0
 
 
 PrefetcherFactory = Callable[[int], PrefetcherBase]
@@ -261,18 +248,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Demand access path
     # ------------------------------------------------------------------
-    def access(self, core_id: int, ref: MemRef, now: float) -> AccessOutcome:
-        """Perform one demand load/store for ``core_id`` at time ``now``.
-
-        Object-based wrapper kept for tests and external callers; core
-        models use :meth:`access_fast`.
-        """
-        latency, l1_hit, l2_hit, covered, late = self.access_fast(
-            core_id, ref.pc, ref.addr, ref.size, ref.is_write, now)
-        return AccessOutcome(latency=latency, l1_hit=l1_hit, l2_hit=l2_hit,
-                             covered_by_prefetch=covered,
-                             late_prefetch_cycles=late)
-
     def access_fast(self, core_id: int, pc: int, addr: int, size: int,
                     is_write: bool, now: float):
         """Scalar demand-access entry point (the hot path).
@@ -286,9 +261,9 @@ class MemorySystem:
         attachments observe slice-local fetches inside :meth:`_fetch_line`.
 
         Returns ``(latency, l1_hit, l2_hit, covered_by_prefetch,
-        late_prefetch_cycles)``; core models read only the first two
-        elements, so stand-in memory systems may return any indexable with
-        latency at [0] and the L1-hit flag at [1].
+        late_prefetch_cycles)``.  Core models read only the first two
+        elements, so a test double standing in for this class may return
+        any indexable with latency at [0] and the L1-hit flag at [1].
         """
         config = self.config
         attaches = self._attaches

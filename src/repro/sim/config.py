@@ -30,6 +30,11 @@ class CacheConfig:
     hit_latency: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("size_bytes", "associativity", "line_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"cache {name} must be positive")
+        if self.sector_size < 0:
+            raise ValueError("cache sector_size must be non-negative")
         if self.size_bytes % (self.associativity * self.line_size) != 0:
             raise ValueError(
                 "cache size must be a multiple of associativity * line size")
@@ -364,6 +369,8 @@ class SystemConfig:
             raise ValueError("n_cores must be a perfect square for a 2-D mesh")
         if self.core_model not in ("in-order", "ooo"):
             raise ValueError("core_model must be 'in-order' or 'ooo'")
+        if self.l2_assoc < 1:
+            raise ValueError("l2_assoc must be positive")
         if isinstance(self.hierarchy, dict):
             object.__setattr__(self, "hierarchy",
                                HierarchyConfig.from_dict(self.hierarchy))

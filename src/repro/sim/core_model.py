@@ -35,30 +35,8 @@ from repro.sim.trace import (
     OP_COMPUTE,
     OP_LOAD,
     OP_SW_PREFETCH,
-    MemRef,
     Trace,
 )
-
-
-def _fast_access_of(memsys):
-    """Return a ``(core_id, pc, addr, size, is_write, now) -> (latency,
-    l1_hit)`` callable for ``memsys``.
-
-    :class:`repro.memory.hierarchy.MemorySystem` provides ``access_fast``
-    natively; stand-in memory systems (tests) that only implement the
-    object-based ``access(core_id, ref, now)`` API are adapted on the fly.
-    """
-    fast = getattr(memsys, "access_fast", None)
-    if fast is not None:
-        return fast
-    access = memsys.access
-
-    def adapter(core_id, pc, addr, size, is_write, now):
-        outcome = access(core_id, MemRef(pc=pc, addr=addr, size=size,
-                                         is_write=is_write), now)
-        return outcome.latency, outcome.l1_hit
-
-    return adapter
 
 
 class InOrderCore:
@@ -94,7 +72,7 @@ class InOrderCore:
         self._aux = trace.aux
         self._lead = trace.lead
         self._length = len(trace.op)
-        self._access = _fast_access_of(memsys)
+        self._access = memsys.access_fast
         # When the L1 supports inlined probing (power-of-two, non-sectored,
         # real memory) and carries at most one prefetcher, an L1 *hit* is
         # handled entirely inside the run loop — its only possible effect
@@ -390,8 +368,8 @@ class InOrderCore:
                     instructions += lead
                 is_write = op != OP_LOAD
                 kind_code = aux_col[pos]
-                # access_fast returns a 5-indexable (2-tuple from
-                # adapters); only latency and the L1-hit flag matter here.
+                # access_fast returns a 5-tuple (a test double may return
+                # less); only latency and the L1-hit flag matter here.
                 result = access(core_id, pc_col[pos], addr, size_col[pos],
                                 is_write, time)
                 latency = result[0]

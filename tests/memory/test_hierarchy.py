@@ -4,12 +4,13 @@
 import numpy as np
 import pytest
 
+from cache_lines import line_at
+
 from repro.core import IMP, IMPConfig
 from repro.mem_image import MemoryImage
 from repro.memory.hierarchy import MemorySystem
 from repro.prefetchers.base import PrefetchRequest
 from repro.sim.config import CacheConfig, SystemConfig
-from repro.sim.trace import AccessKind, MemRef
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -24,33 +25,35 @@ def make_system(**overrides) -> MemorySystem:
     return MemorySystem(make_config(**overrides))
 
 
-def ref(addr: int, pc: int = 0x400, write: bool = False, size: int = 8) -> MemRef:
-    return MemRef(pc=pc, addr=addr, size=size, is_write=write,
-                  kind=AccessKind.OTHER)
+def access(system: MemorySystem, core_id: int, addr: int, now: float,
+           pc: int = 0x400, write: bool = False, size: int = 8):
+    """One demand access: ``(latency, l1_hit, l2_hit, covered_by_prefetch,
+    late_prefetch_cycles)``."""
+    return system.access_fast(core_id, pc, addr, size, write, now)
 
 
 class TestDemandPath:
     def test_cold_miss_then_hit(self):
         system = make_system()
-        first = system.access(0, ref(0x10000), now=0)
-        assert not first.l1_hit
-        assert first.latency > 1
-        second = system.access(0, ref(0x10008), now=first.latency + 1)
-        assert second.l1_hit
-        assert second.latency == pytest.approx(1)
+        latency, l1_hit, *_ = access(system, 0, 0x10000, now=0)
+        assert not l1_hit
+        assert latency > 1
+        second, l1_hit, *_ = access(system, 0, 0x10008, now=latency + 1)
+        assert l1_hit
+        assert second == pytest.approx(1)
 
     def test_l2_hit_faster_than_dram(self):
         system = make_system()
-        cold = system.access(0, ref(0x20000), now=0)       # DRAM fill
+        cold, *_ = access(system, 0, 0x20000, now=0)       # DRAM fill
         # Another core misses in its L1 but hits the shared L2.
-        warm = system.access(1, ref(0x20000), now=cold.latency + 10)
-        assert not warm.l1_hit
-        assert warm.l2_hit
-        assert warm.latency < cold.latency
+        warm, l1_hit, l2_hit, *_ = access(system, 1, 0x20000, now=cold + 10)
+        assert not l1_hit
+        assert l2_hit
+        assert warm < cold
 
     def test_miss_counts_recorded_per_core(self):
         system = make_system()
-        system.access(2, ref(0x30000), now=0)
+        access(system, 2, 0x30000, now=0)
         stats = system.stats.cores[2]
         assert system.l1[2].misses == 1
         assert stats.l2_misses == 1
@@ -58,16 +61,16 @@ class TestDemandPath:
     def test_ideal_memory_mode_never_misses(self):
         system = make_system(ideal_memory=True)
         for i in range(50):
-            outcome = system.access(0, ref(0x40000 + i * 64), now=i)
-            assert outcome.l1_hit
-            assert outcome.latency == 1
+            latency, l1_hit, *_ = access(system, 0, 0x40000 + i * 64, now=i)
+            assert l1_hit
+            assert latency == 1
         assert system.stats.traffic.dram_bytes == 0
         assert system.stats.traffic.noc_messages == 0
 
     def test_perfect_prefetch_hides_latency_when_bandwidth_available(self):
         system = make_system(perfect_prefetch=True)
-        outcome = system.access(0, ref(0x50000), now=10_000)
-        assert outcome.latency <= system.config.l1d.hit_latency + 1
+        latency, *_ = access(system, 0, 0x50000, now=10_000)
+        assert latency <= system.config.l1d.hit_latency + 1
         # Traffic is still generated (finite bandwidth is the whole point).
         assert system.stats.traffic.dram_bytes > 0
 
@@ -76,9 +79,9 @@ class TestDemandPath:
                                              line_size=64))
         system = MemorySystem(config)
         set_stride = system.l1[0].num_sets * 64
-        system.access(0, ref(0x0, write=True), now=0)
+        access(system, 0, 0x0, now=0, write=True)
         before = system.stats.traffic.noc_bytes
-        system.access(0, ref(set_stride), now=1000)   # evicts the dirty line
+        access(system, 0, set_stride, now=1000)       # evicts the dirty line
         after = system.stats.traffic.noc_bytes
         assert after > before
 
@@ -89,19 +92,21 @@ class TestPrefetchPath:
         completion = system.issue_prefetch(0, PrefetchRequest(addr=0x60000),
                                            now=0)
         assert completion > 0
-        outcome = system.access(0, ref(0x60000), now=completion + 1)
-        assert outcome.l1_hit
-        assert outcome.covered_by_prefetch
+        _, l1_hit, _, covered, _ = access(system, 0, 0x60000,
+                                          now=completion + 1)
+        assert l1_hit
+        assert covered
         assert system.stats.cores[0].prefetches_useful == 1
 
     def test_late_prefetch_pays_remaining_latency(self):
         system = make_system()
         completion = system.issue_prefetch(0, PrefetchRequest(addr=0x70000),
                                            now=0)
-        outcome = system.access(0, ref(0x70000), now=1)   # long before done
-        assert outcome.l1_hit
-        assert outcome.late_prefetch_cycles == pytest.approx(completion - 1)
-        assert outcome.latency > 1
+        # Long before the prefetch is done.
+        latency, l1_hit, _, _, late = access(system, 0, 0x70000, now=1)
+        assert l1_hit
+        assert late == pytest.approx(completion - 1)
+        assert latency > 1
 
     def test_duplicate_prefetch_of_resident_line_not_counted(self):
         system = make_system()
@@ -124,7 +129,7 @@ class TestPrefetchPath:
         system = make_system()
         system.software_prefetch(0, 0xB0000, now=0)
         assert system.stats.cores[0].sw_prefetches_issued == 1
-        assert system.l1[0].probe(0xB0000) is not None
+        assert line_at(system.l1[0], 0xB0000) is not None
 
 
 class TestPartialAccessing:
@@ -149,12 +154,13 @@ class TestPartialAccessing:
         system = make_system(partial_noc=True, partial_dram=True)
         system.issue_prefetch(0, PrefetchRequest(addr=0xD0000, size=8,
                                                  is_indirect=True), now=0)
-        line = system.l1[0].probe(0xD0000)
+        line = line_at(system.l1[0], 0xD0000)
         assert line is not None
         assert line.sector_valid == 0b1
         # An access to an absent sector is a sector miss.
-        outcome = system.access(0, ref(0xD0020), now=1_000)
-        assert not outcome.l1_hit
+        _, l1_hit, *_ = access(system, 0, 0xD0020, now=1_000)
+        assert not l1_hit
+        assert system.l1[0].sector_misses == 1
 
     def test_dram_granularity_respected_for_partial_fetches(self):
         system = make_system(partial_noc=True, partial_dram=True)
@@ -167,19 +173,19 @@ class TestPartialAccessing:
 class TestCoherenceIntegration:
     def test_write_after_remote_read_generates_invalidation(self):
         system = make_system()
-        system.access(0, ref(0xF0000), now=0)
-        system.access(1, ref(0xF0000), now=100)
+        access(system, 0, 0xF0000, now=0)
+        access(system, 1, 0xF0000, now=100)
         before = system.stats.traffic.invalidations
-        system.access(2, ref(0xF0000, write=True), now=200)
+        access(system, 2, 0xF0000, now=200, write=True)
         assert system.stats.traffic.invalidations > before
 
     def test_read_after_remote_write_triggers_owner_writeback(self):
         system = make_system()
-        system.access(0, ref(0x110000, write=True), now=0)
+        access(system, 0, 0x110000, now=0, write=True)
         messages_before = system.stats.traffic.noc_messages
-        outcome = system.access(1, ref(0x110000), now=500)
+        _, l1_hit, *_ = access(system, 1, 0x110000, now=500)
         assert system.stats.traffic.noc_messages > messages_before + 2
-        assert not outcome.l1_hit
+        assert not l1_hit
 
 
 class TestAddressMapping:
@@ -209,13 +215,10 @@ class TestIMPIntegration:
         indices = image.data("B")
         now = 0.0
         for i in range(256):
-            out1 = system.access(0, MemRef(pc=0x500, addr=image.addr_of("B", i),
-                                           size=4, kind=AccessKind.INDEX), now)
-            now += out1.latency
-            out2 = system.access(0, MemRef(pc=0x508,
-                                           addr=image.addr_of("A", int(indices[i])),
-                                           kind=AccessKind.INDIRECT), now)
-            now += out2.latency
+            now += access(system, 0, image.addr_of("B", i), now, pc=0x500,
+                          size=4)[0]
+            now += access(system, 0, image.addr_of("A", int(indices[i])), now,
+                          pc=0x508)[0]
         imp = system.prefetchers[0]
         assert imp.patterns_detected >= 1
         assert system.stats.cores[0].indirect_prefetches_issued > 0

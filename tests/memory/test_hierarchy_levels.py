@@ -3,6 +3,8 @@ MemorySystem level chain)."""
 
 import pytest
 
+from cache_lines import line_at
+
 from repro.memory.hierarchy import MemorySystem
 from repro.prefetchers.base import PrefetchRequest
 from repro.sim.config import (
@@ -12,7 +14,6 @@ from repro.sim.config import (
     PrefetcherAttach,
     SystemConfig,
 )
-from repro.sim.trace import AccessKind, MemRef
 
 
 def three_level(prefetch_level="l2") -> HierarchyConfig:
@@ -35,9 +36,10 @@ def make_config(hierarchy=None, **overrides) -> SystemConfig:
     return SystemConfig(**defaults)
 
 
-def ref(addr, pc=0x400, write=False, size=8) -> MemRef:
-    return MemRef(pc=pc, addr=addr, size=size, is_write=write,
-                  kind=AccessKind.OTHER)
+def access(system, core_id, addr, now, pc=0x400, write=False, size=8):
+    """One demand access: ``(latency, l1_hit, l2_hit, covered_by_prefetch,
+    late_prefetch_cycles)``."""
+    return system.access_fast(core_id, pc, addr, size, write, now)
 
 
 class TestHierarchyConfigValidation:
@@ -158,8 +160,8 @@ class TestExtendedMemorySystem:
 
     def test_miss_walks_all_levels_and_hits_dram(self):
         system = MemorySystem(make_config(hierarchy=three_level()))
-        outcome = system.access(0, ref(0x10000), now=0)
-        assert not outcome.l1_hit
+        _, l1_hit, *_ = access(system, 0, 0x10000, now=0)
+        assert not l1_hit
         stats = system.stats.cores[0]
         assert stats.l2_misses == 1       # private L2
         assert stats.l3_misses == 1       # shared L3
@@ -167,38 +169,38 @@ class TestExtendedMemorySystem:
 
     def test_l1_hit_after_fill(self):
         system = MemorySystem(make_config(hierarchy=three_level()))
-        first = system.access(0, ref(0x10000), now=0)
-        second = system.access(0, ref(0x10008), now=first.latency + 1)
-        assert second.l1_hit
-        assert second.latency == pytest.approx(1)
+        first, *_ = access(system, 0, 0x10000, now=0)
+        second, l1_hit, *_ = access(system, 0, 0x10008, now=first + 1)
+        assert l1_hit
+        assert second == pytest.approx(1)
 
     def test_private_l2_hit_cheaper_than_l3(self):
         hierarchy = three_level()
         config = make_config(hierarchy=hierarchy)
         system = MemorySystem(config)
-        system.access(0, ref(0x20000), now=0)
+        access(system, 0, 0x20000, now=0)
         # Evict the line from the small L1 by covering every set with
         # conflicting lines; the larger private L2 keeps it.
         l1 = system.l1[0]
         stride = l1.num_sets * l1.line_size
         for way in range(1, l1.assoc + 2):
-            system.access(0, ref(0x20000 + way * stride), now=1000 + way)
-        warm = system.access(0, ref(0x20000), now=10_000)
-        assert not warm.l1_hit
-        assert warm.l2_hit
+            access(system, 0, 0x20000 + way * stride, now=1000 + way)
+        warm, l1_hit, l2_hit, *_ = access(system, 0, 0x20000, now=10_000)
+        assert not l1_hit
+        assert l2_hit
         # Latency: L1 probe + private L2 hit, no NoC round trip.
-        assert warm.latency == pytest.approx(1 + 4)
+        assert warm == pytest.approx(1 + 4)
         assert system.stats.cores[0].l2_hits >= 1
 
     def test_shared_l3_hit_counted(self):
         system = MemorySystem(make_config(hierarchy=three_level()))
-        cold = system.access(0, ref(0x30000), now=0)
+        cold, *_ = access(system, 0, 0x30000, now=0)
         # A different core misses privately but hits the shared L3.
-        warm = system.access(1, ref(0x30000), now=cold.latency + 10)
-        assert not warm.l1_hit
-        assert warm.l2_hit     # satisfied on-chip
+        warm, l1_hit, l2_hit, *_ = access(system, 1, 0x30000, now=cold + 10)
+        assert not l1_hit
+        assert l2_hit          # satisfied on-chip
         assert system.stats.cores[1].l3_hits == 1
-        assert warm.latency < cold.latency
+        assert warm < cold
 
     def test_prefetch_fills_attachment_level_only(self):
         system = MemorySystem(make_config(hierarchy=three_level()))
@@ -206,11 +208,12 @@ class TestExtendedMemorySystem:
             0, PrefetchRequest(addr=0x40000), now=0)
         assert completion > 0
         # The line sits in the private L2 (the attachment level), not L1.
-        assert system._private_caches[1][0].probe(0x40000) is not None
-        assert system.l1[0].probe(0x40000) is None
-        outcome = system.access(0, ref(0x40000), now=completion + 1)
-        assert not outcome.l1_hit
-        assert outcome.covered_by_prefetch
+        assert line_at(system._private_caches[1][0], 0x40000) is not None
+        assert line_at(system.l1[0], 0x40000) is None
+        _, l1_hit, _, covered, _ = access(system, 0, 0x40000,
+                                          now=completion + 1)
+        assert not l1_hit
+        assert covered
         assert system.stats.cores[0].prefetches_useful == 1
 
     def test_duplicate_prefetch_not_recounted(self):
@@ -222,16 +225,16 @@ class TestExtendedMemorySystem:
 
     def test_dirty_l1_eviction_writes_back_into_l2(self):
         system = MemorySystem(make_config(hierarchy=three_level()))
-        system.access(0, ref(0x0, write=True), now=0)
+        access(system, 0, 0x0, now=0, write=True)
         l1 = system.l1[0]
         stride = l1.num_sets * l1.line_size
         noc_before = system.stats.traffic.noc_bytes
         for way in range(1, l1.assoc + 2):
-            system.access(0, ref(way * stride), now=100 + way)
+            access(system, 0, way * stride, now=100 + way)
         # The dirty line moved into the private L2 locally: the write-back
         # itself must not have crossed the NoC (fills for the new lines
         # do).  The line must still be dirty somewhere private.
-        l2_line = system._private_caches[1][0].probe(0x0)
+        l2_line = line_at(system._private_caches[1][0], 0x0)
         assert l2_line is not None and l2_line.dirty
         assert system.stats.traffic.noc_bytes >= noc_before
 
@@ -239,9 +242,10 @@ class TestExtendedMemorySystem:
         system = MemorySystem(make_config(hierarchy=three_level(),
                                           ideal_memory=True))
         for index in range(20):
-            outcome = system.access(0, ref(0x60000 + index * 64), now=index)
-            assert outcome.l1_hit
-            assert outcome.latency == 1
+            latency, l1_hit, *_ = access(system, 0, 0x60000 + index * 64,
+                                         now=index)
+            assert l1_hit
+            assert latency == 1
         assert system.stats.traffic.dram_bytes == 0
 
 
@@ -251,19 +255,19 @@ class TestInclusionAndCoherence:
         inner levels too: the directory stops tracking this core, so a
         surviving L1 copy would go stale under remote writes."""
         system = MemorySystem(make_config(hierarchy=three_level()))
-        system.access(0, ref(0x70000), now=0)
+        access(system, 0, 0x70000, now=0)
         l1 = system.l1[0]
         l2 = system._private_caches[1][0]
         stride = l2.num_sets * l2.line_size
         # Fill the L2 set with conflicting lines while keeping 0x70000 MRU
         # in the L1 (so only back-invalidation can remove it from there).
         for way in range(1, l2.assoc):
-            system.access(0, ref(0x70000 + way * stride), now=100 + way)
-            system.access(0, ref(0x70008), now=200 + way)
-        assert l1.probe(0x70000) is not None
-        system.access(0, ref(0x70000 + l2.assoc * stride), now=1000)
-        assert l2.probe(0x70000) is None
-        assert l1.probe(0x70000) is None
+            access(system, 0, 0x70000 + way * stride, now=100 + way)
+            access(system, 0, 0x70008, now=200 + way)
+        assert line_at(l1, 0x70000) is not None
+        access(system, 0, 0x70000 + l2.assoc * stride, now=1000)
+        assert line_at(l2, 0x70000) is None
+        assert line_at(l1, 0x70000) is None
 
     def test_four_level_chain_is_legal(self):
         """Chains deeper than three levels are supported: levels past the
@@ -277,15 +281,15 @@ class TestInclusionAndCoherence:
             LevelConfig(name="l4", size_bytes=16384, associativity=8,
                         scope="shared", hit_latency=8),))
         system = MemorySystem(make_config(hierarchy=hierarchy))
-        outcome = system.access(0, ref(0x90000), now=0)
-        assert not outcome.l1_hit
+        _, l1_hit, *_ = access(system, 0, 0x90000, now=0)
+        assert not l1_hit
         stats = system.stats.cores[0]
         assert stats.l2_misses == 1              # private L2
         assert stats.l3_misses == 1              # private L3
         assert stats.level_misses(4) == 1        # shared L4 (dynamic key)
         assert stats.extra_levels == {"l4_misses": 1}
         # A second core's fetch finds the line in the shared L4.
-        system.access(1, ref(0x90000), now=10_000)
+        access(system, 1, 0x90000, now=10_000)
         assert system.stats.cores[1].level_hits(4) == 1
 
     def test_l1_attached_prefetch_fills_outer_levels_too(self):
@@ -298,5 +302,5 @@ class TestInclusionAndCoherence:
         completion = system.issue_prefetch(
             0, PrefetchRequest(addr=0x80000), now=0)
         assert completion > 0
-        assert system.l1[0].probe(0x80000) is not None
-        assert system._private_caches[1][0].probe(0x80000) is not None
+        assert line_at(system.l1[0], 0x80000) is not None
+        assert line_at(system._private_caches[1][0], 0x80000) is not None

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from cache_lines import resident_lines
+
 from repro.memory.cache import Cache
 from repro.sim.config import CacheConfig
 
@@ -20,9 +22,8 @@ address_lists = st.lists(addresses, min_size=1, max_size=200)
 def test_occupancy_never_exceeds_capacity(addrs):
     cache = make_cache()
     for now, addr in enumerate(addrs):
-        result = cache.access(addr, 8, False, now)
-        if not result.hit:
-            cache.fill(addr, now, now)
+        if cache.access_fast(addr, 8, False, now) is None:
+            cache.fill_fast(addr, now, now)
     assert cache.occupancy() <= cache.capacity_lines
 
 
@@ -31,8 +32,8 @@ def test_occupancy_never_exceeds_capacity(addrs):
 def test_access_immediately_after_fill_hits(addrs):
     cache = make_cache()
     for now, addr in enumerate(addrs):
-        cache.fill(addr, now, now)
-        assert cache.access(addr, 1, False, now).hit
+        cache.fill_fast(addr, now, now)
+        assert cache.access_fast(addr, 1, False, now) is not None
 
 
 @given(addrs=address_lists)
@@ -40,9 +41,8 @@ def test_access_immediately_after_fill_hits(addrs):
 def test_hits_plus_misses_equals_accesses(addrs):
     cache = make_cache()
     for now, addr in enumerate(addrs):
-        result = cache.access(addr, 8, False, now)
-        if not result.hit:
-            cache.fill(addr, now, now)
+        if cache.access_fast(addr, 8, False, now) is None:
+            cache.fill_fast(addr, now, now)
     assert cache.hits + cache.misses == cache.accesses
 
 
@@ -51,8 +51,8 @@ def test_hits_plus_misses_equals_accesses(addrs):
 def test_resident_lines_have_distinct_line_addresses(addrs):
     cache = make_cache()
     for now, addr in enumerate(addrs):
-        cache.fill(addr, now, now)
-    lines = [line.addr for line in cache.resident_lines()]
+        cache.fill_fast(addr, now, now)
+    lines = [line.addr for line in resident_lines(cache)]
     assert len(lines) == len(set(lines))
 
 

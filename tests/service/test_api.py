@@ -135,6 +135,16 @@ class TestSubmission:
         assert envelope["error"]["code"] == "invalid-scenario"
         assert "indirect_stream" in envelope["error"]["message"]
 
+    def test_bad_cache_geometry_is_400(self, api):
+        doc = dict(tiny_scenario(1), system={"hierarchy": {"levels": [
+            {"name": "l1", "size_bytes": 4096, "associativity": 0},
+            {"name": "l2", "size_bytes": 16384, "associativity": 8,
+             "scope": "shared"}]}})
+        status, envelope, _ = post_job(api, doc)
+        assert status == 400
+        assert envelope["error"]["code"] == "invalid-scenario"
+        assert "associativity must be positive" in envelope["error"]["message"]
+
     def test_non_object_body_is_400(self, api):
         status, envelope, _ = api.handle("POST", "/v1/jobs", b"[1, 2]")
         assert status == 400

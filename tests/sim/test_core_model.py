@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.memory.hierarchy import AccessOutcome, MemorySystem
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.core_model import InOrderCore, OutOfOrderCore, make_core
 from repro.sim.stats import CoreStats
@@ -18,11 +17,11 @@ class FixedLatencyMemory:
         self.accesses = 0
         self.sw_prefetches = []
 
-    def access(self, core_id, ref, now):
+    def access_fast(self, core_id, pc, addr, size, is_write, now):
         self.accesses += 1
         if self.hit_every and self.accesses % self.hit_every == 0:
-            return AccessOutcome(latency=1.0, l1_hit=True)
-        return AccessOutcome(latency=self.latency, l1_hit=False)
+            return 1.0, True
+        return self.latency, False
 
     def software_prefetch(self, core_id, addr, now):
         self.sw_prefetches.append((core_id, addr, now))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.configs import CONFIG_MODES, experiment_config, scaled_config
 from repro.memory.dram import BankedDram, SimpleDram, make_dram
+from repro.prefetchers.factory import make_prefetcher_factory
 from repro.registry import (
     ALL_REGISTRIES,
     DRAM_MODELS,
@@ -14,8 +15,7 @@ from repro.registry import (
     WORKLOADS,
 )
 from repro.sim.config import DramConfig
-from repro.sim.system import make_prefetcher_factory, run_workload
-from repro.workloads import WORKLOAD_REGISTRY
+from repro.sim.system import run_workload
 from repro.workloads.synthetic import IndirectStreamWorkload
 
 
@@ -110,10 +110,9 @@ class TestStockRegistries:
     def test_stock_modes_match_config_modes(self):
         assert tuple(MODES.names()) == CONFIG_MODES
 
-    def test_workload_registry_is_registry_view(self):
-        assert set(WORKLOAD_REGISTRY) == set(WORKLOADS.names())
-        for name, cls in WORKLOAD_REGISTRY.items():
-            assert WORKLOADS.get(name).factory is cls
+    def test_workload_entries_are_named_classes(self):
+        for entry in WORKLOADS.entries():
+            assert entry.factory.name == entry.name
 
     def test_every_entry_has_a_description(self):
         for registry in ALL_REGISTRIES.values():

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.sim.trace import KIND_BY_CODE
-from repro.workloads import WORKLOAD_REGISTRY
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[1] / "data"
                / "trace_goldens.json")
@@ -78,7 +78,7 @@ def trace_digest(trace) -> str:
 
 def build_digest(label: str, cores: int, software_prefetch: bool) -> str:
     name, params = WORKLOADS[label]
-    build = WORKLOAD_REGISTRY[name](**params).build(
+    build = registry.WORKLOADS.get(name).factory(**params).build(
         cores, software_prefetch=software_prefetch)
     assert len(build.traces) == cores
     return hashlib.sha256("".join(
@@ -116,7 +116,7 @@ def goldens():
 
 def test_goldens_cover_every_registered_workload():
     assert ({name for name, _ in WORKLOADS.values()}
-            == set(WORKLOAD_REGISTRY))
+            == set(registry.WORKLOADS.names()))
 
 
 @pytest.mark.parametrize("software_prefetch", SOFTWARE_PREFETCH,
