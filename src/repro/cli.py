@@ -48,13 +48,6 @@ Installed as the ``repro`` console script (also runnable as
   (and with ``--purge`` deletes) records the self-healing cache has
   quarantined as corrupt.
 * ``cost``           — print the Section 6.4 storage/energy cost report.
-* ``bench``          — run the wall-clock performance harness
-  (``benchmarks/perf/bench_sim.py``) and optionally write/check a
-  ``BENCH_<n>.json`` trajectory file; ``--sweep`` benchmarks the parallel
-  sweep engine itself, ``--ab-kernels`` times two or more NoC kernel
-  backends interleaved in the same session (the drift-immune way to make
-  kernel speed claims), and ``--sweep-scaling`` measures multi-worker
-  sweep scaling (recorded as a documented skip on single-CPU hosts).
 * ``profile``        — run one workload/prefetcher under cProfile and
   attribute self-time to simulator subsystems (cache, directory, DRAM,
   NoC, prefetcher, core/scheduler); the tool that drives the hot-path
@@ -358,55 +351,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("cost", help="print the Section 6.4 hardware cost report")
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the wall-clock performance harness")
-    bench_parser.add_argument("--cores", type=int, default=16)
-    bench_parser.add_argument("--seed", type=int, default=1)
-    bench_parser.add_argument("--repeat", type=int, default=1)
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smaller inputs (CI smoke run)")
-    bench_parser.add_argument("--out", default=None,
-                              help="write the result JSON to this path")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="compare against --baseline; exit non-zero "
-                                   "on fingerprint mismatch or regression")
-    bench_parser.add_argument("--baseline", default=None)
-    bench_parser.add_argument("--budget", type=float, default=1.25,
-                              help="allowed wall-clock ratio vs baseline")
-    bench_parser.add_argument("--workloads", nargs="+", default=None,
-                              metavar="WORKLOAD",
-                              help="restrict the harness to these bench "
-                                   "workloads")
-    bench_parser.add_argument("--ab-kernels", nargs="+", default=None,
-                              metavar="KERNEL",
-                              help="two or more NoC reservation-kernel "
-                                   "backends to A/B (N-way) in the same "
-                                   "session (first = comparison baseline); "
-                                   "embeds a kernel_ab section in the "
-                                   "result document")
-    bench_parser.add_argument("--sweep-scaling", action="store_true",
-                              help="additionally measure multi-worker sweep "
-                                   "scaling (--jobs 1 vs --jobs N) and embed "
-                                   "a sweep_scaling section; records a "
-                                   "documented skip on single-CPU hosts")
-    bench_parser.add_argument("--sweep", action="store_true",
-                              help="benchmark the multi-figure sweep engine "
-                                   "(serial vs --jobs vs warm cache) instead "
-                                   "of the per-scenario harness")
-    bench_parser.add_argument("--scale", type=float, default=0.15,
-                              help="workload scale for --sweep")
-    bench_parser.add_argument("--jobs", type=_jobs_arg, default=None,
-                              help="worker processes for --sweep (default: "
-                                   "$REPRO_JOBS, else 4; 0 = auto)")
-
     profile_parser = sub.add_parser(
         "profile", help="profile one simulation run and attribute time to "
                         "simulator subsystems")
     profile_parser.add_argument("workload", nargs="?",
                                 default="indirect_stream",
-                                help="bench workload name (default: "
-                                     "indirect_stream, the miss-heavy "
-                                     "kernel)")
+                                help="spmv, pagerank or indirect_stream "
+                                     "(default: indirect_stream, the "
+                                     "miss-heavy kernel)")
     profile_parser.add_argument("--prefetcher", default="imp",
                                 choices=PREFETCHERS.names())
     profile_parser.add_argument("--cores", type=int, default=16)
@@ -998,42 +950,14 @@ def _command_sweep_figures(args, out, policy=None) -> int:
     return 0
 
 
-def _command_bench(args, out) -> int:
-    from repro.experiments.bench import (WORKLOADS, run_benchmark,
-                                         run_sweep_benchmark, write_and_check)
-
-    unknown = sorted(set(args.workloads or ()) - set(WORKLOADS))
-    if unknown:
-        print(f"error: unknown bench workloads: {', '.join(unknown)}; "
-              f"try: {', '.join(WORKLOADS)}", file=out)
-        return 2
-    if args.sweep:
-        document = run_sweep_benchmark(cores=args.cores, seed=args.seed,
-                                       scale=args.scale, jobs=args.jobs,
-                                       quick=args.quick, out=out)
-    else:
-        document = run_benchmark(cores=args.cores, seed=args.seed,
-                                 repeat=args.repeat, quick=args.quick,
-                                 workloads=args.workloads,
-                                 ab_kernels=args.ab_kernels, out=out)
-        if args.sweep_scaling:
-            from repro.experiments.bench import sweep_scaling_section
-            document["sweep_scaling"] = sweep_scaling_section(
-                cores=args.cores, seed=args.seed, scale=args.scale,
-                jobs=args.jobs, quick=args.quick, out=out)
-    return write_and_check(document, out_path=args.out, check=args.check,
-                           baseline_path=args.baseline, budget=args.budget,
-                           out=out)
-
-
 def _command_profile(args, out) -> int:
     import json
 
-    from repro.experiments.bench import WORKLOADS
-    from repro.experiments.profile import format_report, profile_run
+    from repro.experiments.profile import (WORKLOADS, format_report,
+                                           profile_run)
 
     if args.workload not in WORKLOADS:
-        print(f"error: unknown bench workload {args.workload!r}; "
+        print(f"error: unknown profile workload {args.workload!r}; "
               f"try: {', '.join(WORKLOADS)}", file=out)
         return 2
     document = profile_run(args.workload, prefetcher=args.prefetcher,
@@ -1085,8 +1009,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _command_cache_doctor(args, out)
     if args.command == "cost":
         return _command_cost(out)
-    if args.command == "bench":
-        return _command_bench(args, out)
     if args.command == "profile":
         return _command_profile(args, out)
     raise SystemExit(f"unknown command {args.command!r}")

@@ -118,8 +118,8 @@ def prefetch_figures(runner: ExperimentRunner, names: Iterable[str],
                      core_counts: Sequence[int]) -> int:
     """Batch-prefetch every run the named figures will need.
 
-    The single entry point behind ``repro sweep``, the sweep benchmark and
-    ``reproduce_paper.py``: the union of all declarations executes as one
+    The single entry point behind ``repro sweep``, perfbench's sweep
+    workloads and ``reproduce_paper.py``: the union of all declarations executes as one
     deduplicated (and, with ``jobs > 1``, parallel) sweep before any
     figure is rendered.  Returns the number of requested runs.
     """

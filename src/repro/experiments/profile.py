@@ -20,7 +20,27 @@ import cProfile
 import pstats
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from repro.workloads import make_workload
+from repro.workloads.synthetic import IndirectStreamWorkload
+
+#: Profiled workloads: the two headline paper kernels plus the synthetic
+#: indirect-stream kernel (pure A[B[i]] pattern, no matrix build cost).
+WORKLOADS = ("spmv", "pagerank", "indirect_stream")
+
+
+def _make_workload(name: str, seed: int, quick: bool):
+    if name == "indirect_stream":
+        return IndirectStreamWorkload(n_indices=4096 if quick else 16384,
+                                      seed=seed)
+    if name == "spmv":
+        return (make_workload(name, seed=seed, nx=8, ny=8, nz=8) if quick
+                else make_workload(name, seed=seed))
+    if name == "pagerank":
+        return (make_workload(name, seed=seed, n_vertices=1024) if quick
+                else make_workload(name, seed=seed))
+    return make_workload(name, seed=seed)
 
 #: Ordered (path fragment, subsystem) rules; first match wins.  Paths use
 #: forward slashes after normalisation.
@@ -85,7 +105,6 @@ def profile_run(workload_name: str, prefetcher: str = "imp",
     visible, next to the size of the trace store it leaves in memory
     (``trace_bytes`` over ``trace_rows``).
     """
-    from repro.experiments.bench import _make_workload
     from repro.experiments.configs import scaled_config
     from repro.sim.system import run_workload
 

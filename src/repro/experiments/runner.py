@@ -212,14 +212,6 @@ class ExperimentRunner:
                            for mode in modes}
                 for workload in self.workload_names()}
 
-    def cached_records(self) -> List[Tuple[Tuple, RunRecord]]:
-        """Every memoised run as ``(cache key, record)`` pairs, in a
-        deterministic order.  The cache key is ``(workload, mode, n_cores,
-        imp signature, sw prefetch distance)``; the sweep benchmark uses
-        this to compare per-run fingerprints across engine configurations
-        without depending on the cache's internal layout."""
-        return sorted(self._cache.items(), key=lambda item: repr(item[0]))
-
     def clear_cache(self) -> None:
         self._cache.clear()
         for workload in self.workloads:

@@ -98,16 +98,15 @@ def _auto_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_jobs(jobs: Optional[int] = None, *, default: int = 1) -> int:
+def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count under one rule, everywhere.
 
     Precedence: an explicit ``jobs`` argument, else ``$REPRO_JOBS``, else
-    ``default`` (1 for sweeps; ``repro bench --sweep`` passes 4).  On
-    both explicit and env paths the value ``0`` means *auto* — one worker
-    per CPU (``os.cpu_count()``).  An invalid explicit value (non-integer
-    or negative) raises :class:`ValueError` with a clean message; an
-    invalid ``$REPRO_JOBS`` only warns and falls through to ``default``,
-    so a stale environment never aborts a sweep.
+    1.  On both explicit and env paths the value ``0`` means *auto* — one
+    worker per CPU (``os.cpu_count()``).  An invalid explicit value
+    (non-integer or negative) raises :class:`ValueError` with a clean
+    message; an invalid ``$REPRO_JOBS`` only warns and falls through to
+    1, so a stale environment never aborts a sweep.
     """
     if jobs is not None:
         try:
@@ -130,11 +129,11 @@ def resolve_jobs(jobs: Optional[int] = None, *, default: int = 1) -> int:
         if value < 0:
             print(f"[sweep] warning: ignoring invalid "
                   f"{JOBS_ENV_VAR}={env!r} (expected a non-negative "
-                  f"integer; 0 = auto); using {default} job(s)",
+                  "integer; 0 = auto); using 1 job",
                   file=sys.stderr)
         else:
             return _auto_jobs() if value == 0 else value
-    return max(1, default)
+    return 1
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,8 @@ class CacheConfig:
                 raise ValueError(f"cache {name} must be positive")
         if self.sector_size < 0:
             raise ValueError("cache sector_size must be non-negative")
+        if self.hit_latency < 0:
+            raise ValueError("cache hit_latency must be non-negative")
         if self.size_bytes % (self.associativity * self.line_size) != 0:
             raise ValueError(
                 "cache size must be a multiple of associativity * line size")
@@ -374,6 +376,17 @@ class SystemConfig:
         if isinstance(self.hierarchy, dict):
             object.__setattr__(self, "hierarchy",
                                HierarchyConfig.from_dict(self.hierarchy))
+        # The partial-accessing sector sizes are only used when a partial
+        # knob builds the sectored caches, so check them here, up front.
+        # Every hierarchy level shares one line size.
+        line = (self.l1d.line_size if self.hierarchy is None
+                else self.hierarchy.levels[0].line_size)
+        for name in ("l1_sector_size", "l2_sector_size"):
+            sector = getattr(self, name)
+            if sector < 1 or line % sector:
+                raise ValueError(
+                    f"{name} must be positive and divide the {line}-byte "
+                    f"line, got {sector}")
 
     # ------------------------------------------------------------------
     # Derived geometry

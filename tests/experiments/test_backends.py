@@ -85,7 +85,7 @@ class TestResolution:
 
 
 # ----------------------------------------------------------------------
-# Satellite: the one jobs rule (explicit > $REPRO_JOBS > default; 0=auto)
+# The one jobs rule (explicit > $REPRO_JOBS > 1; 0=auto)
 # ----------------------------------------------------------------------
 class TestResolveJobs:
     def test_explicit_wins_over_env(self, monkeypatch):
@@ -94,12 +94,11 @@ class TestResolveJobs:
 
     def test_env_wins_over_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None, default=2) == 5
+        assert resolve_jobs(None) == 5
 
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None) == 1
-        assert resolve_jobs(None, default=4) == 4
 
     def test_zero_means_auto(self, monkeypatch):
         import os
@@ -120,8 +119,10 @@ class TestResolveJobs:
                                                 capsys):
         for junk in ("banana", "-2", "1.5"):
             monkeypatch.setenv("REPRO_JOBS", junk)
-            assert resolve_jobs(None, default=3) == 3
-            assert "ignoring invalid REPRO_JOBS" in capsys.readouterr().err
+            assert resolve_jobs(None) == 1
+            err = capsys.readouterr().err
+            assert "ignoring invalid REPRO_JOBS" in err
+            assert "using 1 job" in err
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,53 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="must be positive"):
             ScenarioSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("system", [
+        {"partial_noc": True, "l1_sector_size": -8},
+        {"partial_noc": True, "l1_sector_size": 24},
+        {"partial_dram": True, "l2_sector_size": 0},
+        {"l2_sector_size": 128},
+    ], ids=["l1-negative", "l1-not-dividing", "l2-zero", "l2-over-line"])
+    def test_bad_sector_size(self, system):
+        doc = {"workload": "spmv", "system": system}
+        with pytest.raises(ScenarioError, match="divide the 64-byte line"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_sector_size_checked_against_the_hierarchy_line(self):
+        doc = three_level_doc()
+        for level in doc["system"]["hierarchy"]["levels"]:
+            level["line_size"] = 128
+        doc["system"].update(partial_noc=True, l1_sector_size=128,
+                             l2_sector_size=128)
+        ScenarioSpec.from_dict(doc)
+        doc["system"]["l2_sector_size"] = 256
+        with pytest.raises(ScenarioError, match="divide the 128-byte line"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_negative_hit_latency(self):
+        doc = three_level_doc()
+        doc["system"]["hierarchy"]["levels"][1]["hit_latency"] = -1000
+        with pytest.raises(ScenarioError,
+                           match="hit_latency must be non-negative"):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("system", [
+        {"partial_noc": True, "l1_sector_size": -8},
+        {"hierarchy": three_level_doc()["system"]["hierarchy"],
+         "l2_sector_size": 24},
+        {"l1d": {"size_bytes": 4096, "associativity": 4,
+                 "hit_latency": -1}},
+    ], ids=["sector-negative", "sector-not-dividing", "hit-latency"])
+    def test_bad_system_exits_2_through_the_cli(self, tmp_path, system):
+        import io
+
+        from repro.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            dict(three_level_doc(), system=system)))
+        out = io.StringIO()
+        assert main(["run", "--scenario", str(path)], out=out) == 2
+        assert out.getvalue().startswith("error: bad system")
+
     def test_bad_workload_params(self):
         with pytest.raises(ScenarioError, match="workload_params"):
             ScenarioSpec.from_dict({"workload": "spmv",

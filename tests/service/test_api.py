@@ -2,6 +2,7 @@
 live HTTP server (end-to-end submit → poll → result)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,22 @@ class TestSubmission:
         assert envelope["error"]["code"] == "invalid-scenario"
         assert "associativity must be positive" in envelope["error"]["message"]
 
+    @pytest.mark.parametrize("system, message", [
+        ({"partial_noc": True, "l1_sector_size": -8},
+         "l1_sector_size must be positive"),
+        ({"partial_noc": True, "l2_sector_size": 24},
+         "l2_sector_size must be positive"),
+        ({"l1d": {"size_bytes": 4096, "associativity": 4,
+                  "hit_latency": -1}},
+         "hit_latency must be non-negative"),
+    ], ids=["sector-negative", "sector-not-dividing", "hit-latency"])
+    def test_bad_system_is_400(self, api, system, message):
+        doc = dict(tiny_scenario(1), system=system)
+        status, envelope, _ = post_job(api, doc)
+        assert status == 400
+        assert envelope["error"]["code"] == "invalid-scenario"
+        assert message in envelope["error"]["message"]
+
     def test_non_object_body_is_400(self, api):
         status, envelope, _ = api.handle("POST", "/v1/jobs", b"[1, 2]")
         assert status == 400
@@ -234,6 +251,19 @@ class TestLiveServer:
         assert status == 200
         assert envelope["data"]["status"] == "done"
         assert envelope["data"]["fingerprint"] == fingerprint
+
+    def test_golden_scenario_matches_its_pinned_fingerprint(self, app):
+        scenarios = Path(__file__).resolve().parents[2] / "examples/scenarios"
+        doc = json.loads((scenarios / "tiny_smoke.json").read_text())
+        expected = json.loads(
+            (scenarios / "tiny_smoke.fingerprint.json").read_text())
+        status, envelope, _ = http("POST", f"{app.url}/v1/jobs", doc)
+        assert status == 202
+        final = poll_job(app.url, envelope["data"]["id"], deadline=120.0)
+        assert final["status"] == "done"
+        assert final["fingerprint"] == expected["fingerprint"]
+        assert final["simulated"] is True
+        assert final["cached"] is False
 
     def test_cache_warm_submission_never_simulates(self, app):
         doc = tiny_scenario(6)

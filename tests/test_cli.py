@@ -260,7 +260,7 @@ class TestProfileCommand:
     def test_profile_unknown_workload_errors(self):
         out = io.StringIO()
         assert main(["profile", "nonsense"], out=out) == 2
-        assert "unknown bench workload" in out.getvalue()
+        assert "unknown profile workload" in out.getvalue()
 
 
 class TestSweepScenarioDir:
