@@ -15,7 +15,7 @@ from typing import Optional
 
 
 def apply_shift(value: int, shift: int) -> int:
-    """Compute ``value << shift`` allowing negative (right) shifts."""
+    """Return ``value << shift`` allowing negative (right) shifts."""
     if shift >= 0:
         return value << shift
     return value >> (-shift)

@@ -63,6 +63,21 @@ class IMPConfig:
     line_size: int = 64
     address_bits: int = 48
 
+    def __post_init__(self) -> None:
+        for name in ("pt_size", "max_indirect_ways", "max_indirect_levels",
+                     "ipd_size", "baseaddr_array_len",
+                     "max_prefetch_distance", "gp_samples",
+                     "throttle_window", "line_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"imp {name} must be positive, got "
+                                 f"{getattr(self, name)}")
+        for name in ("l1_sector_size", "l2_sector_size"):
+            sector = getattr(self, name)
+            if sector < 1 or self.line_size % sector:
+                raise ValueError(
+                    f"imp {name} must be positive and divide the "
+                    f"{self.line_size}-byte line, got {sector}")
+
     def with_partial(self, enabled: bool = True) -> "IMPConfig":
         """Return a copy with partial cacheline accessing toggled."""
         return replace(self, partial_enabled=enabled)

@@ -81,7 +81,7 @@ def _gp_entry_bits(config: IMPConfig) -> int:
 def storage_cost_bits(config: IMPConfig = IMPConfig(),
                       l1_line_bits: int = 64 * 8,
                       l2_sectors_per_line: int = 2) -> CostReport:
-    """Compute the storage-cost report of Section 6.4."""
+    """Return the storage-cost report of Section 6.4."""
     pt_entry = _pt_entry_bits(config)
     ipd_entry = _ipd_entry_bits(config)
     gp_entry = _gp_entry_bits(config)

@@ -36,7 +36,7 @@ prefetcher explicitly (hybrid stream@L1 + IMP@L2) or inherit the
 experiment mode's choice.
 
 Hot-path notes: cores call :meth:`MemorySystem.access_fast` with plain
-scalars (no :class:`~repro.sim.trace.MemRef` is built per dynamic
+scalars read from the trace columns (no object is built per dynamic
 reference); the in-order core serves plain L1 hits itself (see
 :class:`repro.sim.core_model.InOrderCore`), so ``access_fast`` mostly sees
 L1 misses.  One :class:`AccessContext` per memory system is reused across

@@ -9,9 +9,6 @@ from repro.sim.trace import (
     OP_STORE,
     OP_SW_PREFETCH,
     AccessKind,
-    Compute,
-    MemRef,
-    SwPrefetch,
     Trace,
     TraceBuilder,
 )
@@ -20,17 +17,14 @@ from repro.sim.system import System, SimulationResult, build_system, run_workloa
 
 __all__ = [
     "AccessKind",
-    "Compute",
     "CoreStats",
     "KIND_BY_CODE",
     "KIND_CODES",
-    "MemRef",
     "OP_COMPUTE",
     "OP_LOAD",
     "OP_STORE",
     "OP_SW_PREFETCH",
     "SimulationResult",
-    "SwPrefetch",
     "System",
     "SystemConfig",
     "SystemStats",

@@ -334,6 +334,14 @@ class DramConfig:
         DRAM_MODELS.get(self.model)
 
 
+def check_core_count(n_cores: int) -> None:
+    """Refuse a core count the 2-D mesh cannot tile: it must be a positive
+    perfect square."""
+    if n_cores < 1 or round(math.sqrt(n_cores)) ** 2 != n_cores:
+        raise ValueError(f"n_cores must be a positive perfect square "
+                         f"(1, 4, 16, 64, ...) for a 2-D mesh, got {n_cores}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full platform configuration (Table 1)."""
@@ -366,9 +374,7 @@ class SystemConfig:
     hierarchy: Optional[HierarchyConfig] = None
 
     def __post_init__(self) -> None:
-        mesh = int(round(math.sqrt(self.n_cores)))
-        if mesh * mesh != self.n_cores:
-            raise ValueError("n_cores must be a perfect square for a 2-D mesh")
+        check_core_count(self.n_cores)
         if self.core_model not in ("in-order", "ooo"):
             raise ValueError("core_model must be 'in-order' or 'ooo'")
         if self.l2_assoc < 1:

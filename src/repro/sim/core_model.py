@@ -50,7 +50,7 @@ class InOrderCore:
                  "_mem_latency", "_stall_cycles", "_stalls_by_kind",
                  "_l1", "_l1_index", "_l1_ready", "_l1_last_use",
                  "_l1_flags", "_l1_line_shift", "_l1_set_mask",
-                 "_l1_tag_shift", "_hit_latency", "_driver",
+                 "_l1_tag_shift", "_hit_latency",
                  "_notify_on_hit", "_prefetcher", "_pf_ctx", "_pf_attach",
                  "_issue_requests", "_pf_skip_resident")
 
@@ -116,8 +116,6 @@ class InOrderCore:
                 self._pf_attach = attach
                 self._issue_requests = memsys._issue_bank_requests
                 self._pf_skip_resident = not attach.has_on_fill[core_id]
-        #: Lazily-created generator behind run_until_memory_access.
-        self._driver = None
         # Statistic accumulators, flushed into ``stats`` by finish().
         self._instructions = 0
         self._mem_accesses = 0
@@ -135,28 +133,6 @@ class InOrderCore:
     @property
     def done(self) -> bool:
         return self._position >= self._length
-
-    def run_until_memory_access(self) -> bool:
-        """Advance the core through one scheduling turn: up to (and
-        including) its next *shared* memory operation, plus any core-local
-        work around it.  The system scheduler interleaves cores at this
-        granularity so that shared-resource contention is time-ordered.
-        Returns True when the trace is exhausted.
-
-        Thin wrapper over :meth:`_drive`: the run loop lives in a generator
-        so its dozen-plus working locals (trace columns, clock, L1 columns)
-        survive between scheduling turns instead of being rebound on every
-        call — at one shared operation per turn that prologue dominated the
-        loop itself.
-        """
-        driver = self._driver
-        if driver is None:
-            driver = self._driver = self._drive()
-        try:
-            next(driver)
-            return False
-        except StopIteration:
-            return True
 
     def _drive(self):
         """Generator body of the run loop.
@@ -449,7 +425,14 @@ class OutOfOrderCore(InOrderCore):
         self._inst_seq = 0
         self._pending: Deque[Tuple[int, float, int]] = deque()
 
-    def run_until_memory_access(self) -> bool:
+    def _drive(self):
+        """Generator body of the run loop: one scheduling turn per memory
+        reference.
+
+        Non-memory ops and software prefetches run in the turn of the
+        access that follows them; the generator yields after each load or
+        store that is not the trace's last.
+        """
         pos = self._position
         length = self._length
         op_col = self._op
@@ -482,9 +465,9 @@ class OutOfOrderCore(InOrderCore):
                 self._execute_mem_ref(op, self._pc[pos - 1],
                                       self._addr[pos - 1],
                                       self._size[pos - 1], aux_col[pos - 1])
-                return pos >= length
+                if pos < length:
+                    yield
         self._position = pos
-        return True
 
     def _drain_window(self, required_space: int = 0) -> None:
         pending = self._pending

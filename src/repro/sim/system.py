@@ -27,7 +27,7 @@ from repro.prefetchers.base import PrefetcherBase
 # system builder.
 from repro.prefetchers.factory import PrefetcherSpec, make_prefetcher_factory
 from repro.sim.config import SystemConfig
-from repro.sim.core_model import InOrderCore, make_core
+from repro.sim.core_model import make_core
 from repro.sim.stats import CoreStats, SystemStats
 from repro.sim.trace import Trace
 
@@ -84,13 +84,6 @@ class SimulationResult:
                    prefetcher=doc["prefetcher"], workload=doc["workload"])
 
 
-def _method_driver(core):
-    """Adapt a method-based core (OutOfOrderCore, test stand-ins) to the
-    generator-driving scheduler: one yield per scheduling turn."""
-    while not core.run_until_memory_access():
-        yield
-
-
 class System:
     """A full chip: cores + memory hierarchy, driven by per-core traces."""
 
@@ -139,21 +132,9 @@ class System:
         heap: List = []
         cores = self.cores
         # Drive each core through its scheduling generator (see
-        # InOrderCore._drive): resuming a live frame per turn instead of
-        # re-entering a method keeps the core's working locals alive.
-        # Cores without a generator driver (the out-of-order model, test
-        # stand-ins) are adapted on the fly.
-        drivers = []
-        for core in cores:
-            drive = getattr(core, "_drive", None)
-            if drive is not None and type(core).run_until_memory_access \
-                    is InOrderCore.run_until_memory_access:
-                driver = core._driver
-                if driver is None:
-                    driver = core._driver = drive()
-            else:
-                driver = _method_driver(core)
-            drivers.append(driver)
+        # InOrderCore._drive): one ``next`` per scheduling turn resumes a
+        # live frame, so the core's working locals survive between turns.
+        drivers = [core._drive() for core in cores]
         for core in cores:
             if not core.done:
                 heapq.heappush(heap, (core.time, core.core_id))

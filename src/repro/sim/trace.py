@@ -2,26 +2,28 @@
 
 Workloads do not run as native programs inside the simulator; instead they
 emit, per core, a trace that captures the instruction and memory behaviour
-of the kernel.  Conceptually a trace is a sequence of three entry types:
+of the kernel.  Each row of a trace is one of four instructions, told
+apart by its opcode:
 
-* :class:`Compute` — a run of non-memory instructions.
-* :class:`MemRef` — one load or store, tagged with the access *kind* so that
-  the miss breakdown of the paper's Figure 1 / Figure 2 can be reproduced.
-* :class:`SwPrefetch` — a software prefetch instruction, used only by the
+* ``OP_COMPUTE`` — a run of non-memory instructions.
+* ``OP_LOAD`` / ``OP_STORE`` — one load or store, tagged with the access
+  *kind* so that the miss breakdown of the paper's Figure 1 / Figure 2 can
+  be reproduced.
+* ``OP_SW_PREFETCH`` — a software prefetch instruction, used only by the
   "Software Prefetching" configuration (Mowry-style compiler insertion).
+  Its *overhead ops* model the address computation a compiler must emit
+  for an indirect prefetch — the instruction overhead of Figure 10.
 
-Every memory-touching entry carries the program counter of the instruction
+Every memory-touching row carries the program counter of the instruction
 that produced it, because both the stream prefetcher and IMP associate
 patterns with PCs (Section 3.3.1 of the paper).
 
 Storage layout
 --------------
 
-Traces routinely hold hundreds of thousands of dynamic entries per core, so
-storing one Python object per entry (the original design) dominated both the
-memory footprint and the run time of ``System.run``.  A :class:`Trace` now
-stores six parallel :mod:`array` columns, each at the fixed width that
-:data:`COLUMNS` gives it::
+Traces routinely hold hundreds of thousands of dynamic instructions per
+core, so a :class:`Trace` stores six parallel :mod:`array` columns, each at
+the fixed width that :data:`COLUMNS` gives it::
 
     op    int8   opcode (OP_COMPUTE / OP_LOAD / OP_STORE / OP_SW_PREFETCH)
     pc    int32  program counter            (0 for compute runs)
@@ -34,36 +36,31 @@ stores six parallel :mod:`array` columns, each at the fixed width that
 
 That is 25 bytes per row.  Only ``addr`` keeps 64 bits, because the address
 layout grows with the input size; the other columns hold small codes, PCs
-and op counts.  Both constructors refuse a value that does not fit its
-column (a ``ValueError`` naming the column) rather than let it wrap.
+and op counts.  A value that does not fit its column is refused (a
+``ValueError`` naming the column) rather than let it wrap.
 
-``TraceBuilder`` folds a run of compute ops into the *lead* column of the
-next memory-touching row (the ubiquitous compute-then-load pattern then
-costs one row instead of two); a standalone ``OP_COMPUTE`` row appears only
-for a trailing compute run or via the object-level ``append`` API.
-
-Core models iterate the columns directly and dispatch on the integer opcode;
-the object forms (:class:`MemRef` & co.) are materialised on demand by the
-``entries`` property / iteration for tests and offline analysis only — a
-row with a non-zero *lead* expands to a :class:`Compute` entry followed by
-the row's own entry, so the object view is unchanged from the original
-representation.  ``len(trace)`` counts entries (not rows); ``num_rows`` has
-the row count.
+A run of compute ops is folded into the *lead* column of the next
+memory-touching row (the ubiquitous compute-then-load pattern then costs
+one row instead of two); a standalone ``OP_COMPUTE`` row appears only for
+a trailing compute run.  ``len(trace)`` counts instructions the way the
+trace was written — a row with a non-zero *lead* counts twice, once for
+its compute run — while ``num_rows`` has the row count.
 
 Workload generators build a core's trace as whole numpy columns and hand
-them to :meth:`Trace.from_columns`, which derives the summary counts
-(instruction count, memory references, per-kind reference counts, entry
-count) from the columns once; the object-level ``append`` API keeps them
-up to date incrementally.  Either way the per-core overhead accounting of
-Figure 10 never rescans the trace.
+them to :meth:`Trace.from_columns`, the one constructor, which validates
+them and derives the summary counts (instruction count, memory references,
+per-kind reference counts, entry count) once, so the per-core overhead
+accounting of Figure 10 never rescans the trace.  :class:`TraceBuilder` is
+the per-row API for tests and hand-written traces; it ends in the same
+constructor.  Core models iterate the columns directly and dispatch on the
+integer opcode.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -124,69 +121,31 @@ def _integer_column(name: str, typecode: str, column) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class MemRef:
-    """A single load or store executed by a core."""
-
-    pc: int
-    addr: int
-    size: int = 8
-    is_write: bool = False
-    kind: AccessKind = AccessKind.OTHER
-
-    @property
-    def is_read(self) -> bool:
-        return not self.is_write
-
-
-@dataclass(frozen=True)
-class Compute:
-    """A run of ``ops`` back-to-back non-memory instructions."""
-
-    ops: int = 1
-
-
-@dataclass(frozen=True)
-class SwPrefetch:
-    """A software prefetch instruction targeting ``addr``.
-
-    ``overhead_ops`` models the extra address-computation instructions a
-    compiler must emit for an indirect prefetch (compute ``i + delta``, load
-    ``B[i + delta]``, scale and add) — the instruction-overhead effect shown
-    in Figure 10 of the paper.
-    """
-
-    pc: int
-    addr: int
-    overhead_ops: int = 3
-
-
-TraceEntry = Union[MemRef, Compute, SwPrefetch]
-
-
 class Trace:
-    """The instruction/memory trace of a single core (columnar storage)."""
+    """The instruction/memory trace of a single core (columnar storage).
+
+    Build one with :meth:`from_columns` (or through :class:`TraceBuilder`);
+    the initialiser only adopts columns and counters that method derived.
+    """
 
     __slots__ = ("core_id", "op", "pc", "addr", "size", "aux", "lead",
                  "_instruction_count", "_mem_ref_count", "_kind_counts",
                  "_entry_count")
 
-    def __init__(self, core_id: int,
-                 entries: Optional[Iterable[TraceEntry]] = None) -> None:
+    def __init__(self, core_id: int, columns: Sequence[array],
+                 instruction_count: int, mem_ref_count: int,
+                 kind_counts: List[int], entry_count: int) -> None:
         self.core_id = core_id
-        for name, typecode in COLUMNS:
-            setattr(self, name, array(typecode))
-        self._instruction_count = 0
-        self._mem_ref_count = 0
-        self._kind_counts = [0] * NUM_KINDS
-        self._entry_count = 0
-        if entries:
-            self.extend(entries)
+        self.op, self.pc, self.addr, self.size, self.aux, self.lead = columns
+        self._instruction_count = instruction_count
+        self._mem_ref_count = mem_ref_count
+        self._kind_counts = kind_counts
+        self._entry_count = entry_count
 
     @classmethod
     def from_columns(cls, core_id: int, op, pc, addr, size, aux,
                      lead) -> "Trace":
-        """Bulk constructor: adopt six equal-length integer columns.
+        """Adopt six equal-length integer columns.
 
         Each column may be a numpy array or any integer sequence; it must
         fit the width :data:`COLUMNS` gives it, ``op`` must hold known
@@ -215,22 +174,23 @@ class Trace:
                                 or kind_codes.max() >= NUM_KINDS):
             raise ValueError("trace column 'aux' holds an unknown access "
                              "kind code on a load/store row")
-        trace = cls(core_id)
-        trace._instruction_count = int(
-            lead.sum() + is_mem.sum() + is_sw.sum() + aux[is_sw].sum()
-            + aux[op == OP_COMPUTE].sum())
-        trace._mem_ref_count = int(is_mem.sum())
-        trace._kind_counts = [
-            int(count)
-            for count in np.bincount(kind_codes, minlength=NUM_KINDS)]
-        trace._entry_count = len(op) + int(np.count_nonzero(lead))
-        for (name, typecode), column in zip(COLUMNS, columns):
+        buffers = []
+        for (_, typecode), column in zip(COLUMNS, columns):
             # Sized exactly (``frombytes`` over-allocates by 1/16), then
             # filled by one narrowing copy through a numpy view.
             buffer = array(typecode, [0]) * len(column)
             np.frombuffer(buffer, dtype=typecode)[:] = column
-            setattr(trace, name, buffer)
-        return trace
+            buffers.append(buffer)
+        return cls(
+            core_id, buffers,
+            instruction_count=int(
+                lead.sum() + is_mem.sum() + is_sw.sum() + aux[is_sw].sum()
+                + aux[op == OP_COMPUTE].sum()),
+            mem_ref_count=int(is_mem.sum()),
+            kind_counts=[
+                int(count)
+                for count in np.bincount(kind_codes, minlength=NUM_KINDS)],
+            entry_count=len(op) + int(np.count_nonzero(lead)))
 
     @property
     def nbytes(self) -> int:
@@ -239,112 +199,13 @@ class Trace:
                    for column in (self.op, self.pc, self.addr, self.size,
                                   self.aux, self.lead))
 
-    # ------------------------------------------------------------------
-    # Raw (columnar) appends
-    # ------------------------------------------------------------------
-    def _append_row(self, *row: int) -> None:
-        """Append one value per column, all or none.
-
-        A value that does not fit its column raises a ``ValueError`` naming
-        the column, after the columns already appended to are rolled back.
-        """
-        for index, ((name, _), value) in enumerate(zip(COLUMNS, row)):
-            try:
-                getattr(self, name).append(value)
-            except OverflowError:
-                for done, _ in COLUMNS[:index]:
-                    getattr(self, done).pop()
-                raise ValueError(f"trace column {name!r} cannot hold "
-                                 f"{value}") from None
-
-    def append_compute(self, ops: int) -> None:
-        self._append_row(OP_COMPUTE, 0, 0, 0, ops, 0)
-        self._instruction_count += ops
-        self._entry_count += 1
-
-    def append_mem_ref(self, pc: int, addr: int, size: int, is_write: bool,
-                       kind_code: int, lead_ops: int = 0) -> None:
-        if not 0 <= kind_code < NUM_KINDS:
-            raise ValueError(f"unknown access kind code {kind_code}")
-        self._append_row(OP_STORE if is_write else OP_LOAD, pc, addr, size,
-                         kind_code, lead_ops)
-        self._instruction_count += 1 + lead_ops
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
-        self._entry_count += 2 if lead_ops else 1
-
-    def append_sw_prefetch(self, pc: int, addr: int, overhead_ops: int,
-                           lead_ops: int = 0) -> None:
-        self._append_row(OP_SW_PREFETCH, pc, addr, 0, overhead_ops, lead_ops)
-        self._instruction_count += 1 + overhead_ops + lead_ops
-        self._entry_count += 2 if lead_ops else 1
-
-    # ------------------------------------------------------------------
-    # Object-level API (compatibility with the original representation)
-    # ------------------------------------------------------------------
-    def append(self, entry: TraceEntry) -> None:
-        if type(entry) is Compute:
-            self.append_compute(entry.ops)
-        elif type(entry) is MemRef:
-            self.append_mem_ref(entry.pc, entry.addr, entry.size,
-                                entry.is_write, KIND_CODES[entry.kind])
-        elif type(entry) is SwPrefetch:
-            self.append_sw_prefetch(entry.pc, entry.addr, entry.overhead_ops)
-        else:
-            raise TypeError(f"unsupported trace entry {entry!r}")
-
-    def extend(self, entries: Iterable[TraceEntry]) -> None:
-        for entry in entries:
-            self.append(entry)
-
-    def _row_entries(self, row: int) -> Iterator[TraceEntry]:
-        """Materialise the entry object(s) encoded by one row."""
-        lead = self.lead[row]
-        if lead:
-            yield Compute(lead)
-        op = self.op[row]
-        if op == OP_COMPUTE:
-            yield Compute(self.aux[row])
-        elif op == OP_SW_PREFETCH:
-            yield SwPrefetch(pc=self.pc[row], addr=self.addr[row],
-                             overhead_ops=self.aux[row])
-        else:
-            yield MemRef(pc=self.pc[row], addr=self.addr[row],
-                         size=self.size[row], is_write=(op == OP_STORE),
-                         kind=KIND_BY_CODE[self.aux[row]])
-
-    def entry_at(self, position: int) -> TraceEntry:
-        """Materialise the entry object at ``position`` (slow path).
-
-        Walks the rows, counting a row with a nonzero lead as two entries,
-        and builds only the objects of the row that holds ``position``.
-        """
-        if position < 0:
-            position += self._entry_count
-        if not 0 <= position < self._entry_count:
-            raise IndexError("trace entry index out of range")
-        for row, lead in enumerate(self.lead):
-            width = 2 if lead else 1
-            if position < width:
-                return list(self._row_entries(row))[position]
-            position -= width
-        raise IndexError("trace entry index out of range")
-
-    @property
-    def entries(self) -> List[TraceEntry]:
-        """Materialised entry objects (slow path — tests / analysis only)."""
-        return list(self)
-
     @property
     def num_rows(self) -> int:
-        """Number of storage rows (<= number of entries)."""
+        """Number of storage rows (<= ``len(trace)``)."""
         return len(self.op)
 
-    def __iter__(self) -> Iterator[TraceEntry]:
-        for row in range(len(self.op)):
-            yield from self._row_entries(row)
-
     def __len__(self) -> int:
+        """Rows plus the rows whose lead holds a compute run."""
         return self._entry_count
 
     # ------------------------------------------------------------------
@@ -354,7 +215,7 @@ class Trace:
     def instruction_count(self) -> int:
         """Total dynamic instruction count represented by the trace.
 
-        Maintained incrementally on append — O(1), not a trace rescan.
+        Derived once by :meth:`from_columns` — O(1), not a trace rescan.
         """
         return self._instruction_count
 

@@ -4,8 +4,8 @@ A workload knows how to lay out its data structures in a
 :class:`repro.mem_image.MemoryImage` and how to emit, per core, the memory
 trace the kernel would generate.  Each workload also knows how to emit its
 *software-prefetching* variant (Mowry-style compiler-inserted indirect
-prefetches, Section 5.4), which only differs by extra
-:class:`repro.sim.trace.SwPrefetch` entries inside inner loops.
+prefetches, Section 5.4), which only differs by extra ``OP_SW_PREFETCH``
+rows inside inner loops.
 
 Generators emit whole numpy columns, not one row at a time: a loop body is
 a template of rows (:func:`loop_rows`), loop nests are interleaved by outer

@@ -7,6 +7,9 @@ serial, process with a real pool, and service over two live in-process
 shards — must produce bit-identical fingerprints for the same specs.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro.experiments.backends import (
@@ -24,6 +27,21 @@ from repro.experiments.sweep import (
 )
 from repro.registry import SWEEP_BACKENDS, RegistryError
 from repro.workloads.synthetic import IndirectStreamWorkload
+
+
+def simulated_done_counts(journal) -> Counter:
+    """Per-job count of the ``done`` records of a service job journal that
+    mark a real simulation, skipping corrupt lines as the store does."""
+    counts: Counter = Counter()
+    for line in journal.read_text().splitlines():
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if (isinstance(entry, dict) and entry.get("status") == "done"
+                and entry.get("simulated")):
+            counts[entry["id"]] += 1
+    return counts
 
 
 def make_specs(n=4, n_cores=1):
@@ -188,6 +206,14 @@ class TestBackendEquivalence:
             per_shard = [app.manager.simulations_run for app in apps]
             assert all(count > 0 for count in per_shard)
             assert sum(per_shard) == len(specs)
+            # The same at the journal level: each shard's job journal holds
+            # simulated ``done`` records, and across both journals every
+            # spec was simulated exactly once.
+            journaled = [simulated_done_counts(app.store.path)
+                         for app in apps]
+            assert all(journaled)
+            assert sum(journaled, Counter()) == Counter(
+                {spec.digest(): 1 for spec in specs})
 
             # Ingested records are real cache-v3 records: a second local
             # engine on the same cache dir is fully warm.

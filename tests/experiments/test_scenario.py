@@ -139,6 +139,39 @@ class TestValidation:
         assert main(["run", "--scenario", str(path)], out=out) == 2
         assert out.getvalue().startswith("error: bad system")
 
+    @pytest.mark.parametrize("imp, message", [
+        ({"pt_size": 0}, "pt_size must be positive"),
+        ({"ipd_size": -2}, "ipd_size must be positive"),
+        ({"max_prefetch_distance": 0}, "max_prefetch_distance must be"),
+        ({"gp_samples": 0}, "gp_samples must be positive"),
+        ({"l1_sector_size": 0, "partial_enabled": True},
+         "l1_sector_size must be positive and divide the 64-byte line"),
+        ({"l2_sector_size": 24}, "l2_sector_size must be positive"),
+    ], ids=["pt-zero", "ipd-negative", "distance-zero", "samples-zero",
+            "l1-sector-zero", "l2-sector-not-dividing"])
+    def test_bad_imp_overrides(self, imp, message):
+        doc = {"workload": "spmv", "mode": "imp", "imp": imp}
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("imp", [
+        {"pt_size": 0},
+        {"l1_sector_size": 0, "partial_enabled": True},
+    ], ids=["pt-zero", "l1-sector-zero"])
+    def test_bad_imp_exits_2_through_the_cli(self, tmp_path, imp):
+        import io
+
+        from repro.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"workload": "indirect_stream", "mode": "imp", "n_cores": 4,
+             "imp": imp}))
+        out = io.StringIO()
+        assert main(["run", "--scenario", str(path)], out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: bad imp overrides")
+
     def test_bad_workload_params(self):
         with pytest.raises(ScenarioError, match="workload_params"):
             ScenarioSpec.from_dict({"workload": "spmv",

@@ -162,6 +162,18 @@ class TestSubmission:
         assert envelope["error"]["code"] == "invalid-scenario"
         assert message in envelope["error"]["message"]
 
+    @pytest.mark.parametrize("imp, message", [
+        ({"pt_size": 0}, "pt_size must be positive"),
+        ({"l1_sector_size": 0, "partial_enabled": True},
+         "l1_sector_size must be positive"),
+    ], ids=["pt-zero", "l1-sector-zero"])
+    def test_bad_imp_is_400(self, api, imp, message):
+        doc = dict(tiny_scenario(1), imp=imp)
+        status, envelope, _ = post_job(api, doc)
+        assert status == 400
+        assert envelope["error"]["code"] == "invalid-scenario"
+        assert message in envelope["error"]["message"]
+
     def test_non_object_body_is_400(self, api):
         status, envelope, _ = api.handle("POST", "/v1/jobs", b"[1, 2]")
         assert status == 400

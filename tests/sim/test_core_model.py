@@ -43,8 +43,8 @@ def make_config(core_model="in-order", rob=32) -> SystemConfig:
 
 
 def run_core(core) -> None:
-    while not core.done:
-        core.run_until_memory_access()
+    for _ in core._drive():
+        pass
     core.finish()
 
 

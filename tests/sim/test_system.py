@@ -13,7 +13,7 @@ from repro.sim.system import (
     make_prefetcher_factory,
     run_workload,
 )
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceBuilder
 from repro.workloads.synthetic import IndirectStreamWorkload, StreamingWorkload
 
 
@@ -48,11 +48,12 @@ class TestSystemConstruction:
     def test_trace_count_must_match_core_count(self):
         config = small_config(4)
         with pytest.raises(ValueError):
-            System(config, [Trace(core_id=0)])
+            System(config, [TraceBuilder(core_id=0).build()])
 
     def test_build_system_runs_empty_traces(self):
         config = small_config(4)
-        system = build_system(config, [Trace(core_id=i) for i in range(4)])
+        system = build_system(config, [TraceBuilder(core_id=i).build()
+                                      for i in range(4)])
         result = system.run()
         assert result.runtime_cycles == 0
         assert len(result.stats.cores) == 4

@@ -12,9 +12,6 @@ from repro.sim.trace import (
     OP_STORE,
     OP_SW_PREFETCH,
     AccessKind,
-    Compute,
-    MemRef,
-    SwPrefetch,
     Trace,
     TraceBuilder,
 )
@@ -26,16 +23,15 @@ class TestTraceBuilder:
         builder.compute(3).compute(2)
         builder.load(0x400, 0x1000)
         trace = builder.build()
-        assert isinstance(trace.entries[0], Compute)
-        assert trace.entries[0].ops == 5
-        assert isinstance(trace.entries[1], MemRef)
+        assert list(trace.op) == [OP_LOAD]
+        assert list(trace.lead) == [5]
 
     def test_trailing_compute_flushed_on_build(self):
         builder = TraceBuilder(core_id=0)
         builder.load(0x400, 0x1000).compute(4)
         trace = builder.build()
-        assert isinstance(trace.entries[-1], Compute)
-        assert trace.entries[-1].ops == 4
+        assert trace.op[-1] == OP_COMPUTE
+        assert trace.aux[-1] == 4
 
     def test_zero_compute_ignored(self):
         trace = TraceBuilder(0).compute(0).load(0x400, 0x1000).build()
@@ -47,11 +43,9 @@ class TestTraceBuilder:
         builder.store(0x408, 0x2000, kind=AccessKind.STREAM)
         builder.sw_prefetch(0x410, 0x3000, overhead_ops=3)
         trace = builder.build()
-        load, store, prefetch = trace.entries
-        assert load.is_read and load.kind is AccessKind.INDEX
-        assert store.is_write and store.kind is AccessKind.STREAM
-        assert isinstance(prefetch, SwPrefetch)
-        assert prefetch.overhead_ops == 3
+        assert list(trace.op) == [OP_LOAD, OP_STORE, OP_SW_PREFETCH]
+        assert list(trace.aux) == [KIND_CODES[AccessKind.INDEX],
+                                   KIND_CODES[AccessKind.STREAM], 3]
 
 
 class TestTraceSummaries:
@@ -82,19 +76,14 @@ class TestTraceSummaries:
         assert counts[AccessKind.INDIRECT] == 2
         assert counts[AccessKind.OTHER] == 0
 
-    def test_iteration_and_len(self):
-        trace = TraceBuilder(0).load(0x400, 0x1000).compute(1).build()
-        assert len(trace) == 2
-        assert len(list(trace)) == 2
-
     def test_empty_trace(self):
-        trace = Trace(core_id=0)
+        trace = TraceBuilder(core_id=0).build()
         assert trace.instruction_count == 0
         assert trace.memory_reference_count == 0
 
 
 class TestColumnarStorage:
-    """The columnar encoding behind the object-level API."""
+    """The columnar encoding the per-row builder produces."""
 
     def test_columns_encode_opcodes(self):
         trace = (TraceBuilder(0)
@@ -110,58 +99,13 @@ class TestColumnarStorage:
         assert trace.aux[0] == KIND_CODES[AccessKind.INDEX]    # load kind
         assert trace.aux[2] == 2                               # overhead ops
         assert trace.num_rows == 3
-        assert len(trace) == 4          # the object view still has 4 entries
-        assert trace.entries[0] == Compute(3)
+        assert len(trace) == 4          # the folded compute run counts too
 
     def test_trailing_compute_gets_its_own_row(self):
         trace = TraceBuilder(0).load(0x400, 0x1000).compute(4).build()
         assert list(trace.op) == [OP_LOAD, OP_COMPUTE]
         assert trace.aux[1] == 4
         assert len(trace) == 2
-
-    def test_entry_at_round_trips(self):
-        trace = Trace(core_id=1)
-        entries = [Compute(5),
-                   MemRef(pc=0x400, addr=0x1000, size=4, is_write=False,
-                          kind=AccessKind.INDIRECT),
-                   MemRef(pc=0x408, addr=0x2000, is_write=True,
-                          kind=AccessKind.STREAM),
-                   SwPrefetch(pc=0x410, addr=0x3000, overhead_ops=7)]
-        trace.extend(entries)
-        assert trace.entries == entries
-        assert trace.entry_at(-1) == entries[-1]
-        assert list(trace) == entries
-
-    def test_entry_at_counts_lead_rows_twice(self):
-        trace = (TraceBuilder(0)
-                 .load(0x400, 0x1000)
-                 .compute(3)
-                 .store(0x408, 0x2000, kind=AccessKind.STREAM)
-                 .compute(2)
-                 .build())
-        entries = trace.entries
-        assert len(entries) == 4 and trace.num_rows == 3
-        assert [trace.entry_at(i) for i in range(4)] == entries
-        assert trace.entry_at(1) == Compute(3)          # the store row's lead
-        assert trace.entry_at(-2) == entries[2]
-        assert trace.entry_at(-4) == entries[0]
-        for position in (4, 100, -5):
-            with pytest.raises(IndexError):
-                trace.entry_at(position)
-
-    def test_counts_maintained_incrementally(self):
-        trace = Trace(core_id=0)
-        assert trace.count_by_kind() == {kind: 0 for kind in KIND_BY_CODE}
-        trace.append(MemRef(pc=0, addr=0, kind=AccessKind.INDIRECT))
-        trace.append(Compute(9))
-        trace.append(SwPrefetch(pc=0, addr=64, overhead_ops=3))
-        assert trace.instruction_count == 1 + 9 + 4
-        assert trace.memory_reference_count == 1
-        assert trace.count_by_kind()[AccessKind.INDIRECT] == 1
-
-    def test_append_rejects_unknown_entry(self):
-        with pytest.raises(TypeError):
-            Trace(core_id=0).append(object())
 
     def test_parallel_columns_stay_aligned(self):
         builder = TraceBuilder(0)
@@ -176,61 +120,53 @@ class TestColumnarStorage:
         assert trace.instruction_count == 200
 
 
+def mixed_trace(core_id: int = 3) -> Trace:
+    """A mixed trace through the per-row builder: leads on a load and on a
+    software prefetch, every access kind, a trailing compute row."""
+    return (TraceBuilder(core_id)
+            .compute(4)
+            .load(0x400, 0x1000, size=4, kind=AccessKind.INDEX)
+            .load(0x408, 0x2000, kind=AccessKind.INDIRECT)
+            .compute(2)
+            .sw_prefetch(0x410, 0x3000, overhead_ops=3)
+            .store(0x418, 0x4000, kind=AccessKind.STREAM)
+            .load(0x420, 0x5000, kind=AccessKind.OTHER)
+            .compute(1)
+            .store(0x428, 0x6000, size=1, kind=AccessKind.INDIRECT)
+            .compute(7)
+            .build())
+
+
 class TestFromColumns:
-    """``Trace.from_columns`` derives the counters the incremental
-    object-level appends maintain."""
-
-    ENTRIES = [
-        Compute(4),
-        MemRef(pc=0x400, addr=0x1000, size=4, kind=AccessKind.INDEX),
-        MemRef(pc=0x408, addr=0x2000, kind=AccessKind.INDIRECT),
-        Compute(2),
-        SwPrefetch(pc=0x410, addr=0x3000, overhead_ops=3),
-        MemRef(pc=0x418, addr=0x4000, is_write=True,
-               kind=AccessKind.STREAM),
-        MemRef(pc=0x420, addr=0x5000, kind=AccessKind.OTHER),
-        Compute(1),
-        MemRef(pc=0x428, addr=0x6000, size=1, is_write=True,
-               kind=AccessKind.INDIRECT),
-        Compute(7),
-    ]
-
-    def built(self):
-        """The mixed trace through the per-row builder: leads on a load and
-        on a software prefetch, every access kind, a trailing compute row."""
-        builder = TraceBuilder(3)
-        for entry in self.ENTRIES:
-            if type(entry) is Compute:
-                builder.compute(entry.ops)
-            elif type(entry) is SwPrefetch:
-                builder.sw_prefetch(entry.pc, entry.addr,
-                                    overhead_ops=entry.overhead_ops)
-            elif entry.is_write:
-                builder.store(entry.pc, entry.addr, size=entry.size,
-                              kind=entry.kind)
-            else:
-                builder.load(entry.pc, entry.addr, size=entry.size,
-                             kind=entry.kind)
-        return builder.build()
+    """``Trace.from_columns`` derives the counters of a trace built
+    incrementally, row by row, through :class:`TraceBuilder`."""
 
     def test_mixed_trace_counters_match_incremental_ones(self):
-        trace = self.built()
-        assert list(trace.lead) == [4, 0, 2, 0, 0, 1, 0]
-        assert trace.op[-1] == OP_COMPUTE and trace.aux[-1] == 7
-        columns = [np.array(getattr(trace, name)) for name in
-                   ("op", "pc", "addr", "size", "aux", "lead")]
+        trace = mixed_trace()
+        index, indirect, stream, other = (KIND_CODES[kind]
+                                          for kind in AccessKind)
+        assert {name: list(getattr(trace, name)) for name, _ in COLUMNS} == {
+            "op": [OP_LOAD, OP_LOAD, OP_SW_PREFETCH, OP_STORE, OP_LOAD,
+                   OP_STORE, OP_COMPUTE],
+            "pc": [0x400, 0x408, 0x410, 0x418, 0x420, 0x428, 0],
+            "addr": [0x1000, 0x2000, 0x3000, 0x4000, 0x5000, 0x6000, 0],
+            "size": [4, 8, 0, 8, 8, 1, 0],
+            "aux": [index, indirect, 3, stream, other, indirect, 7],
+            "lead": [4, 0, 2, 0, 0, 1, 0]}
+        columns = [np.array(getattr(trace, name)) for name, _ in COLUMNS]
         derived = Trace.from_columns(3, *columns)
-        incremental = Trace(3, self.ENTRIES)
         for candidate in (trace, derived):
             assert candidate.instruction_count == \
-                incremental.instruction_count == 4 + 2 + 2 + 4 + 2 + 1 + 1 + 7
-            assert candidate.memory_reference_count == \
-                incremental.memory_reference_count == 5
-            assert candidate.count_by_kind() == incremental.count_by_kind()
-            assert len(candidate) == len(incremental) == len(self.ENTRIES)
-            assert candidate.entries == self.ENTRIES
-        assert all(count == (2 if kind is AccessKind.INDIRECT else 1)
-                   for kind, count in derived.count_by_kind().items())
+                4 + 2 + 2 + 4 + 2 + 1 + 1 + 7
+            assert candidate.memory_reference_count == 5
+            assert candidate.count_by_kind() == {
+                AccessKind.INDEX: 1, AccessKind.INDIRECT: 2,
+                AccessKind.STREAM: 1, AccessKind.OTHER: 1}
+            # Ten instructions as written: seven rows, three of them with
+            # a folded compute run.
+            assert len(candidate) == 10
+            assert [list(getattr(candidate, name)) for name, _ in COLUMNS] \
+                == [list(column) for column in columns]
         assert derived.core_id == 3
         assert {name: getattr(derived, name).typecode
                 for name, _ in COLUMNS} == dict(COLUMNS)
@@ -273,9 +209,9 @@ class TestCompactColumns:
         assert trace.nbytes == 25 * 1000
 
     def test_incremental_trace_stores_25_bytes_per_row(self):
-        trace = Trace(0, TestFromColumns.ENTRIES)
-        assert trace.num_rows == len(TestFromColumns.ENTRIES)
-        assert trace.nbytes == 25 * trace.num_rows
+        trace = mixed_trace()
+        assert trace.num_rows == 7
+        assert trace.nbytes == 25 * 7
         assert {name: getattr(trace, name).typecode
                 for name, _ in COLUMNS} == dict(COLUMNS)
 
@@ -283,8 +219,9 @@ class TestCompactColumns:
         addr = 2 ** 40 + 64
         pc = np.iinfo(np.int32).max
         trace = Trace.from_columns(0, *row_columns(pc=pc, addr=addr))
-        assert trace.entries[-1] == MemRef(pc=pc, addr=addr,
-                                           kind=AccessKind.INDEX)
+        assert (trace.op[-1], trace.pc[-1], trace.addr[-1], trace.size[-1],
+                trace.aux[-1]) == (OP_LOAD, pc, addr, 8,
+                                   KIND_CODES[AccessKind.INDEX])
 
     @pytest.mark.parametrize("bound", ("min", "max"))
     @pytest.mark.parametrize("name,typecode", COLUMNS)
@@ -297,25 +234,15 @@ class TestCompactColumns:
 
     @pytest.mark.parametrize("name", ("pc", "addr", "size", "lead"))
     def test_incremental_append_raises_instead_of_wrapping(self, name):
-        trace = Trace(0)
-        trace.append_mem_ref(0x400, 0x1000, 8, False, 0)
-        row = {"pc": 0x400, "addr": 0x1000, "size": 8, "lead_ops": 0}
-        row["lead_ops" if name == "lead" else name] = 2 ** 63
+        # A value appended row by row through the builder is checked when
+        # build() hands the columns to Trace.from_columns.
+        row = {"pc": 0x400, "addr": 0x1000, "size": 8, "lead": 0}
+        row[name] = 2 ** 63
+        builder = TraceBuilder(0).load(0x400, 0x1000)
+        builder.compute(row["lead"]).load(row["pc"], row["addr"],
+                                          size=row["size"])
         with pytest.raises(ValueError, match=f"'{name}'"):
-            trace.append_mem_ref(row["pc"], row["addr"], row["size"], False,
-                                 0, row["lead_ops"])
-        # The columns appended to before the failure were rolled back.
-        assert all(len(getattr(trace, column)) == 1
-                   for column, _ in COLUMNS)
-        assert (trace.num_rows, len(trace), trace.memory_reference_count) \
-            == (1, 1, 1)
-
-    def test_incremental_append_rejects_unknown_kind_code(self):
-        trace = Trace(0)
-        for code in (-1, len(KIND_BY_CODE)):
-            with pytest.raises(ValueError):
-                trace.append_mem_ref(0x400, 0x1000, 8, False, code)
-        assert trace.num_rows == 0
+            builder.build()
 
     def test_rejects_unknown_opcode(self):
         # Before the check an opcode of 7 counted as one memory reference

@@ -50,6 +50,24 @@ class TestRun:
             run_cli("run", "streaming", "--prefetcher", "oracle")
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "spmv"),
+    ("compare", "spmv"),
+    ("figure", "fig9"),
+    ("sweep", "--figures", "fig1", "--cores", "16"),
+    ("profile", "spmv"),
+], ids=["run", "compare", "figure", "sweep", "profile"])
+@pytest.mark.parametrize("cores", ["5", "0", "-4"])
+def test_bad_core_count_is_a_clean_error(argv, cores):
+    """A core count the mesh cannot tile is refused before any work, with
+    one error line naming the rule, by every command taking --cores."""
+    out = io.StringIO()
+    assert main([*argv, "--cores", cores], out=out) == 2
+    assert out.getvalue().splitlines() == [
+        f"error: --cores: n_cores must be a positive perfect square "
+        f"(1, 4, 16, 64, ...) for a 2-D mesh, got {cores}"]
+
+
 class TestCompareAndFigure:
     def test_compare_prints_all_requested_modes(self):
         output = run_cli("compare", "indirect_stream", "--cores", "4",

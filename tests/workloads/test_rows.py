@@ -67,7 +67,6 @@ def test_nest_and_fold_match_the_per_row_builder():
     expected = builder.build()
 
     assert columns(trace) == columns(expected)
-    assert trace.entries == expected.entries
     assert trace.instruction_count == expected.instruction_count
     assert trace.count_by_kind() == expected.count_by_kind()
     assert len(trace) == len(expected)

@@ -8,7 +8,14 @@ and a software-prefetching variant that only adds prefetch instructions.
 import numpy as np
 import pytest
 
-from repro.sim.trace import AccessKind, MemRef, SwPrefetch
+from repro.sim.trace import (
+    KIND_CODES,
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_STORE,
+    OP_SW_PREFETCH,
+    AccessKind,
+)
 from repro.workloads import (
     PAPER_WORKLOADS,
     Graph500Workload,
@@ -22,6 +29,17 @@ from repro.workloads import (
     paper_workloads,
 )
 from repro.workloads.synthetic import IndirectStreamWorkload, StreamingWorkload
+
+
+def ref_addrs(trace, kind=None):
+    """Addresses of the trace's loads and stores (of ``kind`` if given),
+    in program order, selected by a mask over the columns."""
+    op = np.asarray(trace.op)
+    mask = (op == OP_LOAD) | (op == OP_STORE)
+    if kind is not None:
+        mask &= np.asarray(trace.aux) == KIND_CODES[kind]
+    return np.asarray(trace.addr)[mask].tolist()
+
 
 N_CORES = 4
 
@@ -53,10 +71,10 @@ class TestAllWorkloads:
         build = workload.build(N_CORES)
         specs = build.mem_image.arrays()
         for trace in build.traces:
-            for entry in trace.entries:
-                if isinstance(entry, (MemRef, SwPrefetch)):
-                    assert any(spec.contains(entry.addr) for spec in specs), \
-                        f"{workload.name}: address {entry.addr:#x} outside arrays"
+            touching = np.asarray(trace.op) != OP_COMPUTE
+            for addr in np.asarray(trace.addr)[touching].tolist():
+                assert any(spec.contains(addr) for spec in specs), \
+                    f"{workload.name}: address {addr:#x} outside arrays"
 
     def test_contains_index_and_indirect_accesses(self, workload):
         build = workload.build(N_CORES)
@@ -81,8 +99,8 @@ class TestAllWorkloads:
                             sw_prefetch_distance=4)
         assert sw.total_memory_references == plain.total_memory_references
         sw_prefetches = sum(
-            1 for trace in sw.traces for entry in trace.entries
-            if isinstance(entry, SwPrefetch))
+            int(np.count_nonzero(np.asarray(trace.op) == OP_SW_PREFETCH))
+            for trace in sw.traces)
         assert sw_prefetches > 0
         assert sw.total_instructions > plain.total_instructions
 
@@ -101,12 +119,11 @@ class TestWorkloadSpecifics:
         indirect_targets = {
             "rank": 0, "out_degree": 0}
         for trace in build.traces:
-            for entry in trace.entries:
-                if isinstance(entry, MemRef) and entry.kind is AccessKind.INDIRECT:
-                    if rank.contains(entry.addr):
-                        indirect_targets["rank"] += 1
-                    elif degree.contains(entry.addr):
-                        indirect_targets["out_degree"] += 1
+            for addr in ref_addrs(trace, AccessKind.INDIRECT):
+                if rank.contains(addr):
+                    indirect_targets["rank"] += 1
+                elif degree.contains(addr):
+                    indirect_targets["out_degree"] += 1
         assert indirect_targets["rank"] > 0
         assert indirect_targets["out_degree"] > 0
 
@@ -117,16 +134,13 @@ class TestWorkloadSpecifics:
         vec = build.mem_image.array("vec")
         valid = {vec.addr_of(int(c)) for c in matrix.col_idx}
         for trace in build.traces:
-            for entry in trace.entries:
-                if isinstance(entry, MemRef) and entry.kind is AccessKind.INDIRECT:
-                    assert entry.addr in valid
+            for addr in ref_addrs(trace, AccessKind.INDIRECT):
+                assert addr in valid
 
     def test_symgs_has_forward_and_backward_sweeps(self):
         build = SymGSWorkload(nx=4, ny=4, nz=4, seed=1).build(1)
         trace = build.traces[0]
-        col_addrs = [entry.addr for entry in trace.entries
-                     if isinstance(entry, MemRef)
-                     and entry.kind is AccessKind.INDEX]
+        col_addrs = ref_addrs(trace, AccessKind.INDEX)
         # The forward sweep scans col_idx upward, the backward sweep downward.
         first_half = col_addrs[: len(col_addrs) // 4]
         last_half = col_addrs[-len(col_addrs) // 4:]
@@ -143,8 +157,8 @@ class TestWorkloadSpecifics:
         bitvec = build.mem_image.array("bitvec")
         assert bitvec.elem_size == pytest.approx(1 / 8)
         touched = sum(
-            1 for trace in build.traces for entry in trace.entries
-            if isinstance(entry, MemRef) and bitvec.contains(entry.addr))
+            1 for trace in build.traces for addr in ref_addrs(trace)
+            if bitvec.contains(addr))
         assert touched > 0
 
     def test_sgd_feature_rows_are_16_bytes(self):
@@ -156,10 +170,9 @@ class TestWorkloadSpecifics:
         workload = LSHWorkload(n_points=256, n_queries=16, seed=1)
         build = workload.build(2)
         dataset = build.mem_image.array("dataset")
-        indirect = [entry for trace in build.traces for entry in trace.entries
-                    if isinstance(entry, MemRef)
-                    and entry.kind is AccessKind.INDIRECT]
-        assert all(dataset.contains(entry.addr) for entry in indirect)
+        indirect = [addr for trace in build.traces
+                    for addr in ref_addrs(trace, AccessKind.INDIRECT)]
+        assert all(dataset.contains(addr) for addr in indirect)
 
 
 class TestSyntheticWorkloads:
