@@ -77,6 +77,16 @@ class IMPConfig:
                 raise ValueError(
                     f"imp {name} must be positive and divide the "
                     f"{self.line_size}-byte line, got {sector}")
+        # A threshold the saturating counter can never reach silently
+        # disables the mechanism it gates.
+        if not 0 <= self.confidence_threshold <= self.max_confidence:
+            raise ValueError(
+                f"imp confidence_threshold must be in [0, max_confidence="
+                f"{self.max_confidence}], got {self.confidence_threshold}")
+        if self.rw_write_threshold > self.rw_max_count:
+            raise ValueError(
+                f"imp rw_write_threshold must not exceed rw_max_count="
+                f"{self.rw_max_count}, got {self.rw_write_threshold}")
 
     def with_partial(self, enabled: bool = True) -> "IMPConfig":
         """Return a copy with partial cacheline accessing toggled."""

@@ -91,12 +91,6 @@ class IndirectPatternDetector:
         """Record an externally known pattern so it is not re-detected."""
         self._known.setdefault(stream_key, []).append((shift, base_addr))
 
-    def forget_stream(self, stream_key: int) -> None:
-        """Drop all state for a stream (entry, back-off, known patterns)."""
-        self._entries.pop(stream_key, None)
-        self._backoff.pop(stream_key, None)
-        self._known.pop(stream_key, None)
-
     # ------------------------------------------------------------------
     # Index-access handling
     # ------------------------------------------------------------------

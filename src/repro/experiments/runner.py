@@ -197,24 +197,3 @@ class ExperimentRunner:
                                          mode=request.mode,
                                          n_cores=request.n_cores,
                                          result=result)
-
-    def run_all(self, modes: Iterable[str], n_cores: int = 64,
-                imp_config: Optional[IMPConfig] = None) -> Dict[str, Dict[str, RunRecord]]:
-        """Run every registered workload under every mode.
-
-        Returns ``{workload: {mode: record}}``.
-        """
-        modes = list(modes)
-        self.prefetch(RunRequest(workload, mode, n_cores, imp_config)
-                      for workload in self.workload_names()
-                      for mode in modes)
-        return {workload: {mode: self.run(workload, mode, n_cores, imp_config)
-                           for mode in modes}
-                for workload in self.workload_names()}
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        for workload in self.workloads:
-            clear_builds = getattr(workload, "clear_build_cache", None)
-            if clear_builds is not None:
-                clear_builds()

@@ -202,7 +202,7 @@ class ScenarioSpec:
             try:
                 imp_overrides["stream"] = StreamPrefetcherConfig(
                     **imp_overrides["stream"])
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"bad imp.stream: {exc}") from exc
         try:
             imp_config = (replace(IMPConfig(), **imp_overrides)

@@ -49,7 +49,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -61,6 +60,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 from repro.core.config import IMPConfig
 from repro.experiments.configs import experiment_config, scaled_config
+from repro.experiments.durable import AppendLog, publish, read_log
 from repro.experiments.faults import FaultPlan, TransientFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulationResult, run_workload
@@ -428,9 +428,9 @@ class ResultCache:
     moved into ``quarantine/`` (annotated with the failure class) and
     reported as a miss, so a corrupted cache heals itself on the next
     sweep while keeping the evidence inspectable via
-    ``repro cache doctor``.  Writes are atomic — a temp file in the same
-    directory published with ``os.replace`` — so a crash or a concurrent
-    writer can never leave a truncated record behind.
+    ``repro cache doctor``.  Writes are atomic
+    (:func:`~repro.experiments.durable.publish`), so a crash or a
+    concurrent writer can never leave a truncated record behind.
     """
 
     def __init__(self, directory, enabled: bool = True) -> None:
@@ -518,22 +518,11 @@ class ResultCache:
     def put(self, spec: RunSpec, record: Dict) -> None:
         if not self.enabled:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(spec)
-        # Atomic publish: concurrent sweeps may race on the same entry, and
-        # both sides write identical bytes (deterministic simulation), so
+        # Concurrent sweeps may race on the same entry, and both sides
+        # write identical bytes (deterministic simulation), so
         # last-rename-wins is safe.
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish(self._path(spec), json.dumps(record, sort_keys=True,
+                                             separators=(",", ":")))
         self.stores += 1
 
 
@@ -641,26 +630,21 @@ def write_failure_report(path, failures: Sequence[FailureRecord], *,
         "policy": (policy or RunPolicy()).to_dict(),
         "failures": [failure.to_dict() for failure in failures],
     }
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_name, target)
+    publish(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 
 
 class SweepJournal:
     """Durable append-only record of per-spec outcomes (JSONL).
 
-    One line per outcome, flushed and fsynced as it lands, so a sweep
-    killed at any instant leaves a readable journal: ``--resume`` loads
-    it to report previously completed work, and a torn final line (the
-    crash window) is tolerated and ignored on load.  The journal records
-    *progress*; the result cache remains the source of truth for result
-    bytes (a journalled-ok spec whose cache record went missing is simply
-    recomputed).
+    One line per outcome on a durable
+    :class:`~repro.experiments.durable.AppendLog`, so a sweep killed at
+    any instant leaves a readable journal: ``--resume`` loads it to
+    report previously completed work, and a torn final line (the crash
+    window) is skipped on load and ended before new records append.
+    The journal records *progress*; the result cache remains the source
+    of truth for result bytes (a journalled-ok spec whose cache record
+    went missing is simply recomputed).
 
     ``sweep_id`` (see :func:`sweep_id`) identifies the spec set being
     swept.  When given, it is stored in the header; resuming with a
@@ -693,49 +677,30 @@ class SweepJournal:
                 self.label = label
                 existing = False
         self.resumed = len(self.completed)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a" if existing else "w")
+        self._log = AppendLog(self.path, fresh=not existing)
         if not existing:
             header = {"journal": JOURNAL_SCHEMA, "sweep": self.label}
             if sweep_id is not None:
                 header["sweep_id"] = sweep_id
-            self._append(header)
+            self._log.append(header)
 
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    # The torn final line of a killed sweep; later lines
-                    # (there should be none) are unrecoverable anyway.
-                    self.torn_lines += 1
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                if "journal" in entry:
-                    self.label = entry.get("sweep", self.label)
-                    self.header_sweep_id = entry.get("sweep_id",
-                                                     self.header_sweep_id)
-                    continue
-                digest = entry.get("digest")
-                if not digest:
-                    continue
-                if entry.get("status") == "ok":
-                    self.completed[digest] = entry
-                    self.failed.pop(digest, None)
-                elif entry.get("status") == "failed":
-                    self.failed[digest] = entry
-
-    def _append(self, entry: Dict) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        entries, self.torn_lines = read_log(self.path)
+        for entry in entries:
+            if "journal" in entry:
+                self.label = entry.get("sweep", self.label)
+                self.header_sweep_id = entry.get("sweep_id",
+                                                 self.header_sweep_id)
+                continue
+            digest = entry.get("digest")
+            if not digest:
+                continue
+            if entry.get("status") == "ok":
+                self.completed[digest] = entry
+                self.failed.pop(digest, None)
+            elif entry.get("status") == "failed":
+                self.failed[digest] = entry
 
     # ------------------------------------------------------------------
     def record_ok(self, spec: RunSpec, attempts: int = 1,
@@ -749,18 +714,15 @@ class SweepJournal:
                  "cached": cached}
         self.completed[digest] = entry
         self.failed.pop(digest, None)
-        self._append(entry)
+        self._log.append(entry)
 
     def record_failed(self, failure: FailureRecord) -> None:
         entry = dict(failure.to_dict(), status="failed")
         self.failed[failure.digest] = entry
-        self._append(entry)
+        self._log.append(entry)
 
     def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
+        self._log.close()
 
 
 # ----------------------------------------------------------------------

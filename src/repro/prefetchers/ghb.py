@@ -80,12 +80,6 @@ class GHBPrefetcher(PrefetcherBase):
         self.correlation_hits = 0
 
     # ------------------------------------------------------------------
-    def _key(self, addr: int) -> int:
-        return (addr // self.config.line_size)
-
-    def _slot(self, position: int) -> int:
-        return position % self.config.buffer_size
-
     def _addr_at(self, position: int) -> int:
         """Recorded miss address at a history position; -1 if overwritten."""
         if position < 0 or position < self._head - self._buffer_size:

@@ -35,6 +35,17 @@ class StreamPrefetcherConfig:
     line_size: int = 64
     max_hit_cnt: int = 15          # saturating counter ceiling
 
+    def __post_init__(self) -> None:
+        for name in ("table_size", "initial_distance", "max_distance",
+                     "degree", "line_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"stream {name} must be positive, got "
+                                 f"{getattr(self, name)}")
+        if not 0 <= self.train_threshold <= self.max_hit_cnt:
+            raise ValueError(
+                f"stream train_threshold must be in [0, max_hit_cnt="
+                f"{self.max_hit_cnt}], got {self.train_threshold}")
+
 
 @dataclass(slots=True)
 class StreamEntry:

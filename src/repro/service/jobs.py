@@ -401,7 +401,7 @@ class JobManager:
     def _maybe_corrupt(self, job_id: str) -> None:
         plan = self.faults
         if plan is not None and plan.should_serve_corrupt(job_id):
-            self.store.corrupt_tail()
+            self.store.log.corrupt_tail()
 
     # ------------------------------------------------------------------
     # Graceful shutdown

@@ -1,7 +1,7 @@
 """Durable, crash-safe job state for the sweep service.
 
-The :class:`JobStore` is the service's write-ahead log, built on the
-fsynced :class:`~repro.experiments.sweep.SweepJournal` pattern: one JSONL
+The :class:`JobStore` is the service's write-ahead log, kept on the
+shared fsynced :class:`~repro.experiments.durable.AppendLog`: one JSONL
 line per job state transition, flushed and fsynced before the transition
 is acknowledged anywhere else.  The file is append-only across server
 lifetimes — every boot appends a header line and replays everything that
@@ -38,11 +38,10 @@ re-enqueued, which the deterministic chaos suite exercises via the
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.experiments.durable import AppendLog, read_log
 
 #: Schema tag of the append-only service job journal.
 JOB_STORE_SCHEMA = "repro-service-jobs-v1"
@@ -62,66 +61,28 @@ RECOVERABLE_STATES = (QUEUED, RUNNING, INTERRUPTED)
 
 
 class JobStore:
-    """Append-only fsynced JSONL store of job state transitions.
+    """Job state folded from an append-only fsynced JSONL log.
 
     Thread-safe: the HTTP handler threads append ``queued`` records while
-    the drain worker appends ``running``/``done``/``failed``; a lock
+    the drain worker appends ``running``/``done``/``failed``; the log
     serialises appends so records never interleave mid-line.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.jobs: Dict[str, Dict] = {}
-        self.corrupt_lines = 0
         self.boots = 0
-        self._lock = threading.Lock()
-        if self.path.exists():
-            self._replay()
-            self._terminate_torn_tail()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a")
-        self.boots += 1
-        self._append({"service": JOB_STORE_SCHEMA, "boot": self.boots})
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn final line (killed server) or a damaged
-                    # middle line; the affected job replays at its last
-                    # durable state.
-                    self.corrupt_lines += 1
-                    continue
-                if not isinstance(entry, dict):
-                    self.corrupt_lines += 1
-                    continue
-                if "service" in entry:
-                    self.boots = max(self.boots, int(entry.get("boot", 0)))
-                    continue
+        # A torn final line (killed server) or a damaged middle line is
+        # skipped; the affected job replays at its last durable state.
+        entries, self.corrupt_lines = read_log(self.path)
+        for entry in entries:
+            if "service" in entry:
+                self.boots = max(self.boots, int(entry.get("boot", 0)))
+            else:
                 self._apply(entry)
-
-    def _terminate_torn_tail(self) -> None:
-        """A file killed mid-append ends without a newline; terminate it
-        so this boot's records start on a fresh line instead of merging
-        into (and being swallowed by) the torn one."""
-        try:
-            with open(self.path, "rb+") as raw:
-                raw.seek(0, os.SEEK_END)
-                if raw.tell() == 0:
-                    return
-                raw.seek(-1, os.SEEK_END)
-                if raw.read(1) != b"\n":
-                    raw.write(b"\n")
-        except OSError:
-            pass
+        self.log = AppendLog(self.path)
+        self.boots += 1
+        self.log.append({"service": JOB_STORE_SCHEMA, "boot": self.boots})
 
     def _apply(self, entry: Dict) -> None:
         job_id = entry.get("id")
@@ -155,18 +116,11 @@ class JobStore:
     # ------------------------------------------------------------------
     # Appends (each one durable before it returns)
     # ------------------------------------------------------------------
-    def _append(self, entry: Dict) -> None:
-        with self._lock:
-            self._handle.write(json.dumps(entry, sort_keys=True,
-                                          separators=(",", ":")) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
     def record_queued(self, job_id: str, scenario: Dict,
                       name: str = "") -> None:
         self._apply(entry := {"id": job_id, "status": QUEUED,
                               "scenario": scenario, "name": name})
-        self._append(entry)
+        self.log.append(entry)
 
     def record_running(self, job_id: str) -> int:
         """Append a ``running`` transition; returns the attempt number
@@ -174,7 +128,7 @@ class JobStore:
         entry = {"id": job_id, "status": RUNNING,
                  "attempt": self.jobs.get(job_id, {}).get("attempts", 0) + 1}
         self._apply(entry)
-        self._append(entry)
+        self.log.append(entry)
         return self.jobs[job_id]["attempts"]
 
     def record_done(self, job_id: str, *, cached: bool, simulated: bool,
@@ -182,16 +136,16 @@ class JobStore:
         self._apply(entry := {"id": job_id, "status": DONE, "cached": cached,
                               "simulated": simulated,
                               "fingerprint": fingerprint})
-        self._append(entry)
+        self.log.append(entry)
 
     def record_failed(self, job_id: str, failure: Dict) -> None:
         self._apply(entry := {"id": job_id, "status": FAILED,
                               "failure": failure})
-        self._append(entry)
+        self.log.append(entry)
 
     def record_interrupted(self, job_id: str) -> None:
         self._apply(entry := {"id": job_id, "status": INTERRUPTED})
-        self._append(entry)
+        self.log.append(entry)
 
     # ------------------------------------------------------------------
     # Views
@@ -210,39 +164,10 @@ class JobStore:
         (``simulated: true``) across the *entire* journal history — the
         chaos suite's zero-duplicate-work evidence.  Reads the file, not
         the replayed state, so repeated transitions are all counted."""
-        count = 0
-        try:
-            with open(self.path) as handle:
-                for line in handle:
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if (isinstance(entry, dict)
-                            and entry.get("id") == job_id
-                            and entry.get("status") == DONE
-                            and entry.get("simulated")):
-                        count += 1
-        except OSError:
-            pass
-        return count
-
-    # ------------------------------------------------------------------
-    def corrupt_tail(self) -> None:
-        """Chaos hook (``serve_corrupt``): tear the last appended line the
-        way a crashed non-atomic writer would, leaving a mid-journal
-        corrupt line.  The tear is newline-terminated (as a post-crash
-        boot would repair it) so only the torn record is lost."""
-        with self._lock:
-            self._handle.flush()
-            size = os.fstat(self._handle.fileno()).st_size
-            with open(self.path, "rb+") as raw:
-                raw.truncate(max(0, size - 2))
-                raw.seek(0, os.SEEK_END)
-                raw.write(b"\n")
+        entries, _ = read_log(self.path)
+        return sum(1 for entry in entries
+                   if entry.get("id") == job_id
+                   and entry.get("status") == DONE and entry.get("simulated"))
 
     def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
+        self.log.close()

@@ -259,11 +259,6 @@ class Workload(abc.ABC):
             self._build_cache[key] = build
         return build
 
-    def clear_build_cache(self) -> None:
-        """Release memoised builds (they can be tens of MB each for
-        full-size inputs across a core-count sweep)."""
-        self._build_cache.clear()
-
     # ------------------------------------------------------------------
     # Spec serialisation (parallel sweeps, persistent result cache)
     # ------------------------------------------------------------------

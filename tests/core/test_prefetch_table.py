@@ -64,6 +64,20 @@ class TestActivationAndConfidence:
         assert entry.hit_cnt == 2
         assert entry.is_prefetching(config.confidence_threshold)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"confidence_threshold": 9}, "confidence_threshold must be in"),
+        ({"confidence_threshold": -1}, "confidence_threshold must be in"),
+        ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
+    ])
+    def test_unreachable_thresholds_are_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            IMPConfig(**fields)
+
+    def test_reachable_threshold_bounds_are_valid(self):
+        IMPConfig(confidence_threshold=0)
+        IMPConfig(confidence_threshold=7, max_confidence=7)
+        IMPConfig(rw_write_threshold=3, rw_max_count=3)
+
     def test_overwritten_index_without_match_loses_confidence(self):
         pt = PrefetchTable()
         entry = pt.allocate_primary(pc=0x1000, now=0)

@@ -7,7 +7,6 @@ serial, process with a real pool, and service over two live in-process
 shards — must produce bit-identical fingerprints for the same specs.
 """
 
-import json
 from collections import Counter
 
 import pytest
@@ -19,6 +18,7 @@ from repro.experiments.backends import (
     ServiceBackend,
     resolve_backend,
 )
+from repro.experiments.durable import read_log
 from repro.experiments.sweep import (
     ResultCache,
     RunSpec,
@@ -31,17 +31,9 @@ from repro.workloads.synthetic import IndirectStreamWorkload
 
 def simulated_done_counts(journal) -> Counter:
     """Per-job count of the ``done`` records of a service job journal that
-    mark a real simulation, skipping corrupt lines as the store does."""
-    counts: Counter = Counter()
-    for line in journal.read_text().splitlines():
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if (isinstance(entry, dict) and entry.get("status") == "done"
-                and entry.get("simulated")):
-            counts[entry["id"]] += 1
-    return counts
+    mark a real simulation."""
+    return Counter(entry["id"] for entry in read_log(journal)[0]
+                   if entry.get("status") == "done" and entry.get("simulated"))
 
 
 def make_specs(n=4, n_cores=1):

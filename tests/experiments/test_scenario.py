@@ -147,18 +147,31 @@ class TestValidation:
         ({"l1_sector_size": 0, "partial_enabled": True},
          "l1_sector_size must be positive and divide the 64-byte line"),
         ({"l2_sector_size": 24}, "l2_sector_size must be positive"),
+        ({"confidence_threshold": 9}, "confidence_threshold must be in"),
+        ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
+        ({"stream": {"table_size": 0}},
+         "bad imp.stream: stream table_size must be positive"),
+        ({"stream": {"train_threshold": 16}},
+         "bad imp.stream: stream train_threshold must be in"),
     ], ids=["pt-zero", "ipd-negative", "distance-zero", "samples-zero",
-            "l1-sector-zero", "l2-sector-not-dividing"])
+            "l1-sector-zero", "l2-sector-not-dividing", "confidence-high",
+            "rw-threshold-high", "stream-table-zero",
+            "stream-threshold-high"])
     def test_bad_imp_overrides(self, imp, message):
         doc = {"workload": "spmv", "mode": "imp", "imp": imp}
         with pytest.raises(ScenarioError, match=message):
             ScenarioSpec.from_dict(doc)
 
-    @pytest.mark.parametrize("imp", [
-        {"pt_size": 0},
-        {"l1_sector_size": 0, "partial_enabled": True},
-    ], ids=["pt-zero", "l1-sector-zero"])
-    def test_bad_imp_exits_2_through_the_cli(self, tmp_path, imp):
+    @pytest.mark.parametrize("imp,prefix", [
+        ({"pt_size": 0}, "error: bad imp overrides"),
+        ({"l1_sector_size": 0, "partial_enabled": True},
+         "error: bad imp overrides"),
+        ({"confidence_threshold": 9}, "error: bad imp overrides"),
+        ({"rw_write_threshold": 4}, "error: bad imp overrides"),
+        ({"stream": {"table_size": 0}}, "error: bad imp.stream"),
+    ], ids=["pt-zero", "l1-sector-zero", "confidence-high",
+            "rw-threshold-high", "stream-table-zero"])
+    def test_bad_imp_exits_2_through_the_cli(self, tmp_path, imp, prefix):
         import io
 
         from repro.cli import main
@@ -169,8 +182,7 @@ class TestValidation:
         out = io.StringIO()
         assert main(["run", "--scenario", str(path)], out=out) == 2
         lines = out.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith(
-            "error: bad imp overrides")
+        assert len(lines) == 1 and lines[0].startswith(prefix)
 
     def test_bad_workload_params(self):
         with pytest.raises(ScenarioError, match="workload_params"):

@@ -95,6 +95,26 @@ class TestSweepJournal:
         assert spec_a.digest() in resumed.completed
         assert spec_b.digest() not in resumed.completed
 
+    def test_record_after_torn_tail_survives_the_next_resume(self, tmp_path):
+        # Resuming ends the torn line, so the first new record lands on a
+        # line of its own instead of being merged into it and lost.
+        path = tmp_path / "journal.jsonl"
+        spec_a, spec_b, _ = specs()
+        journal = SweepJournal(path)
+        journal.record_ok(spec_a)
+        journal.close()
+        with open(path, "a") as handle:   # killed mid-append
+            handle.write('{"digest": "torn", "sta')
+
+        resumed = SweepJournal(path, resume=True)
+        resumed.record_ok(spec_b)
+        resumed.close()
+
+        final = SweepJournal(path, resume=True)
+        assert final.torn_lines == 1
+        assert set(final.completed) == {spec_a.digest(), spec_b.digest()}
+        final.close()
+
     def test_without_resume_the_journal_restarts(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = SweepJournal(path)
@@ -199,3 +219,9 @@ class TestFailureReport:
                                         total=5, completed=5)
         assert document["failed_runs"] == 0
         assert document["failures"] == []
+
+    def test_failed_dump_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_failure_report(tmp_path / "failures.json", [], total=1,
+                                 completed=1, sweep_label=object())
+        assert list(tmp_path.iterdir()) == []

@@ -118,3 +118,18 @@ class TestPrefetchDistance:
         requests = drive(prefetcher, 0x400, 0x1000, 8, 64)
         lines = [r.addr // 64 for r in requests]
         assert len(lines) == len(set(lines))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("table_size", 0), ("initial_distance", 0), ("max_distance", -1),
+        ("degree", 0), ("line_size", 0), ("train_threshold", -1),
+        ("train_threshold", 16),
+    ])
+    def test_out_of_range_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"stream {field} must be"):
+            StreamPrefetcherConfig(**{field: value})
+
+    def test_threshold_bounds_are_valid(self):
+        StreamPrefetcherConfig(train_threshold=0)
+        StreamPrefetcherConfig(train_threshold=15, max_hit_cnt=15)

@@ -7,6 +7,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.experiments.durable import read_log
 from repro.experiments.scenario import ScenarioSpec
 
 
@@ -51,17 +52,9 @@ def poll_job(base_url: str, job_id: str, deadline: float = 30.0) -> dict:
 
 
 def journal_entries(path) -> list:
-    """Parse the service job journal, skipping corrupt lines the way the
-    store does."""
-    entries = []
-    for line in path.read_text().splitlines():
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict):
-            entries.append(entry)
-    return entries
+    """The service job journal's records, skipping corrupt lines the way
+    the store does."""
+    return read_log(path)[0]
 
 
 def simulated_done_counts(path) -> dict:

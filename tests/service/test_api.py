@@ -166,7 +166,11 @@ class TestSubmission:
         ({"pt_size": 0}, "pt_size must be positive"),
         ({"l1_sector_size": 0, "partial_enabled": True},
          "l1_sector_size must be positive"),
-    ], ids=["pt-zero", "l1-sector-zero"])
+        ({"confidence_threshold": 9}, "confidence_threshold must be in"),
+        ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
+        ({"stream": {"table_size": 0}}, "stream table_size must be positive"),
+    ], ids=["pt-zero", "l1-sector-zero", "confidence-high",
+            "rw-threshold-high", "stream-table-zero"])
     def test_bad_imp_is_400(self, api, imp, message):
         doc = dict(tiny_scenario(1), imp=imp)
         status, envelope, _ = post_job(api, doc)

@@ -121,7 +121,7 @@ class TestCorruptionTolerance:
         path = tmp_path / "jobs.jsonl"
         store = JobStore(path)
         store.record_queued("a" * 64, tiny_scenario(1))
-        store.corrupt_tail()
+        store.log.corrupt_tail()
         store.record_queued("b" * 64, tiny_scenario(2))
         store.close()
 
