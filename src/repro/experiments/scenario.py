@@ -62,7 +62,7 @@ from repro.experiments.sweep import ResultCache, RunSpec, SweepEngine
 from repro.prefetchers.stream import StreamPrefetcherConfig
 from repro.registry import MODES, WORKLOADS
 from repro.sim.config import (CacheConfig, DramConfig, HierarchyConfig,
-                              NoCConfig, SystemConfig)
+                              NoCConfig, SystemConfig, check_core_count)
 from repro.sim.system import SimulationResult
 from repro.workloads.base import Workload
 
@@ -110,6 +110,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         WORKLOADS.get(self.workload)   # raises listing valid workloads
         MODES.get(self.mode)           # raises listing valid modes
+        # Exactly an int: 4.0 would canonicalise to a different digest.
+        if type(self.n_cores) is not int:
+            raise ScenarioError(
+                f"n_cores must be an integer, not {self.n_cores!r}")
+        check_core_count(self.n_cores)
         if not isinstance(self.workload_params, Mapping):
             raise ScenarioError("workload_params must be a mapping")
         _check_keys(self.system,

@@ -82,6 +82,12 @@ class NoCConfig:
         NOC_KERNELS.get(self.kernel)
         if self.flit_bytes < 1:
             raise ValueError("flit_bytes must be at least 1")
+        if not self.link_bandwidth_flits > 0:
+            raise ValueError("link_bandwidth_flits must be positive")
+        if self.hop_latency < 0:
+            raise ValueError("hop_latency must be non-negative")
+        if self.header_flits < 0:
+            raise ValueError("header_flits must be non-negative")
 
 
 @dataclass(frozen=True)

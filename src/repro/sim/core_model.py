@@ -13,9 +13,14 @@ Both models consume a :class:`repro.sim.trace.Trace` and charge:
 
 The run loop is the hottest code in the whole simulator, so it works
 directly on the trace's integer columns (see :mod:`repro.sim.trace`):
-entries are dispatched on their opcode, column references are hoisted into
-locals, and statistics are accumulated in plain instance counters that are
-flushed into :class:`repro.sim.stats.CoreStats` by :meth:`finish`.
+entries are dispatched on their opcode and column references are hoisted
+into locals.  Counts the trace already knows (instructions, memory
+references, loads, stores, references per kind) are not counted at all:
+:meth:`InOrderCore.finish` takes them from the trace's summary.  The
+in-order loop keeps the remaining counters (L1 hits and misses, latency
+and stall sums) in generator locals and writes them back once, when the
+trace is exhausted; :meth:`finish` flushes them into
+:class:`repro.sim.stats.CoreStats`.
 
 Latency and stall cycles are accumulated as floats and rounded once at
 :meth:`finish`; the original per-access ``int()`` truncation silently
@@ -44,15 +49,11 @@ class InOrderCore:
 
     __slots__ = ("core_id", "trace", "memsys", "stats", "config", "time",
                  "_position", "_op", "_pc", "_addr", "_size", "_aux",
-                 "_lead", "_length", "_access", "_instructions",
-                 "_mem_accesses", "_loads", "_stores", "_l1_hits",
-                 "_l1_misses", "_accesses_by_kind", "_misses_by_kind",
-                 "_mem_latency", "_stall_cycles", "_stalls_by_kind",
-                 "_l1", "_l1_index", "_l1_ready", "_l1_last_use",
-                 "_l1_flags", "_l1_line_shift", "_l1_set_mask",
-                 "_l1_tag_shift", "_hit_latency",
-                 "_notify_on_hit", "_prefetcher", "_pf_ctx", "_pf_attach",
-                 "_issue_requests", "_pf_skip_resident")
+                 "_lead", "_length", "_access", "_l1_hits", "_l1_misses",
+                 "_misses_by_kind", "_mem_latency", "_stall_cycles",
+                 "_stalls_by_kind", "_l1", "_notify_on_hit", "_prefetcher",
+                 "_pf_ctx", "_pf_attach", "_issue_requests",
+                 "_pf_skip_resident")
 
     def __init__(self, core_id: int, trace: Trace, memsys, stats: CoreStats,
                  config: SystemConfig) -> None:
@@ -98,16 +99,6 @@ class InOrderCore:
                 and not l1.sector_size and len(l1_attaches) <= 1
                 and not config.ideal_memory):
             self._l1 = l1
-            # Flat-column L1 state, bound once (see repro.memory.cache):
-            # the per-set {tag: way} index and the metadata columns.
-            self._l1_index = l1._index
-            self._l1_ready = l1._ready
-            self._l1_last_use = l1._last_use
-            self._l1_flags = l1._flags
-            self._l1_line_shift = l1._line_shift
-            self._l1_set_mask = l1._set_mask
-            self._l1_tag_shift = l1._tag_shift
-            self._hit_latency = memsys._hit_latency
             if l1_attaches and l1_attaches[0].notify_hits[core_id]:
                 attach = l1_attaches[0]
                 self._notify_on_hit = True
@@ -117,13 +108,8 @@ class InOrderCore:
                 self._issue_requests = memsys._issue_bank_requests
                 self._pf_skip_resident = not attach.has_on_fill[core_id]
         # Statistic accumulators, flushed into ``stats`` by finish().
-        self._instructions = 0
-        self._mem_accesses = 0
-        self._loads = 0
-        self._stores = 0
         self._l1_hits = 0
         self._l1_misses = 0
-        self._accesses_by_kind = [0] * NUM_KINDS
         self._misses_by_kind = [0] * NUM_KINDS
         self._mem_latency = 0.0
         self._stall_cycles = 0.0
@@ -160,8 +146,12 @@ class InOrderCore:
           access that follows them).
 
         ``self.time`` is flushed with ``turn_time`` at every yield (the
-        scheduler sorts on it); statistics accumulate in instance counters
-        exactly as before.
+        scheduler sorts on it).  The hit, miss, latency and stall counters
+        live in generator locals and are written back when the trace is
+        exhausted, as are the inline hits the L1's own counters are owed:
+        nothing reads them mid-run, because :meth:`finish` runs only after
+        the generator has returned.  The float sums still accumulate one
+        access at a time, in trace order.
         """
         pos = self._position
         length = self._length
@@ -174,16 +164,27 @@ class InOrderCore:
         access = self._access
         core_id = self.core_id
         time = self.time
-        instructions = 0
+        l1_hits = self._l1_hits
+        l1_misses = self._l1_misses
+        mem_latency = self._mem_latency
+        stall_cycles = self._stall_cycles
+        misses_by_kind = self._misses_by_kind
+        stalls_by_kind = self._stalls_by_kind
+        inline_hits = 0
         l1 = self._l1
         if l1 is not None:
-            l1_index = self._l1_index
-            l1_ready = self._l1_ready
-            l1_last_use = self._l1_last_use
-            l1_flags = self._l1_flags
-            l1_line_shift = self._l1_line_shift
-            l1_set_mask = self._l1_set_mask
-            l1_tag_shift = self._l1_tag_shift
+            # Flat-column L1 state (see repro.memory.cache): the per-set
+            # {tag: way} index and the metadata columns.
+            l1_index = l1._index
+            l1_ready = l1._ready
+            l1_last_use = l1._last_use
+            l1_flags = l1._flags
+            l1_line_shift = l1._line_shift
+            l1_set_mask = l1._set_mask
+            l1_tag_shift = l1._tag_shift
+            # A float, so the hit path's sums stay float-only (the values
+            # are the same: a configured latency is a small integer).
+            hit_latency = float(self.memsys._hit_latency)
             notify_on_hit = self._notify_on_hit
             prefetcher = self._prefetcher
             pf_ctx = self._pf_ctx
@@ -200,24 +201,18 @@ class InOrderCore:
         while pos < length:
             op = op_col[pos]
             if op == OP_COMPUTE:
-                ops = aux_col[pos]
+                time += aux_col[pos]
                 pos += 1
-                time += ops
-                instructions += ops
             elif op == OP_SW_PREFETCH:
                 if turn_used:
                     # A software prefetch runs under an unused turn (and
                     # does not consume it): the old scheduler executed it
                     # in the turn of the access that follows.
-                    self._instructions += instructions
-                    instructions = 0
                     self._position = pos
                     self.time = turn_time
                     yield
                     turn_used = False
-                ops = lead_col[pos] + 1 + aux_col[pos]
-                time += ops
-                instructions += ops
+                time += lead_col[pos] + 1 + aux_col[pos]
                 addr = addr_col[pos]
                 pos += 1
                 self.memsys.software_prefetch(core_id, addr, time)
@@ -232,38 +227,25 @@ class InOrderCore:
                     lead = lead_col[pos]
                     if lead:
                         time += lead
-                        instructions += lead
                     is_write = op != OP_LOAD
-                    kind_code = aux_col[pos]
                     # L1 hit, handled entirely in the run loop (mirrors
-                    # Cache.access_fast's hit path).
-                    l1.accesses += 1
-                    l1.hits += 1
+                    # Cache.access_fast's hit path; the flags are written
+                    # back only when they change).
                     l1_last_use[way] = time
                     flags = l1_flags[way]
-                    if is_write:
-                        flags |= 1      # FLAG_DIRTY
-                        self._stores += 1
-                    else:
-                        self._loads += 1
-                    hit_latency = self._hit_latency
+                    late = l1_ready[way] - time
                     if flags & 2 and not flags & 4:  # unreferenced prefetch
-                        l1_flags[way] = flags | 4
-                        late = l1_ready[way] - time
-                        if late > 0.0:
-                            latency = hit_latency + late
-                        else:
-                            late = 0.0
-                            latency = hit_latency
+                        # FLAG_PREFETCH_REFERENCED, and FLAG_DIRTY on a write.
+                        l1_flags[way] = flags | (5 if is_write else 4)
                         stats = self.stats
                         stats.prefetch_covered_misses += 1
                         stats.prefetches_useful += 1
-                        stats.prefetch_late_cycles += int(late)
-                    else:
-                        l1_flags[way] = flags
-                        late = l1_ready[way] - time
-                        latency = (hit_latency + late if late > 0.0
-                                   else hit_latency)
+                        if late > 0.0:
+                            stats.prefetch_late_cycles += int(late)
+                    elif is_write and not flags & 1:
+                        l1_flags[way] = flags | 1      # FLAG_DIRTY
+                    latency = (hit_latency + late if late > 0.0
+                               else hit_latency)
                     if notify_on_hit:
                         # The L1 attachment's prefetcher observes the hit
                         # now (its state is core-local); any prefetch
@@ -299,27 +281,22 @@ class InOrderCore:
                                         break
                             if not all_resident:
                                 if turn_used:
-                                    self._instructions += instructions
-                                    instructions = 0
                                     self._position = pos
                                     self.time = turn_time
                                     yield
                                 issue_requests(pf_attach, core_id, requests,
                                                time)
                                 turn_used = True
-                    pos += 1
-                    instructions += 1
-                    self._mem_accesses += 1
-                    self._accesses_by_kind[kind_code] += 1
-                    self._mem_latency += latency
-                    self._l1_hits += 1
+                    inline_hits += 1
+                    mem_latency += latency
                     stall = latency - 1.0
                     if stall > 0.0:
-                        self._stall_cycles += stall
-                        self._stalls_by_kind[kind_code] += stall
+                        stall_cycles += stall
+                        stalls_by_kind[aux_col[pos]] += stall
                         time += 1.0 + stall
                     else:
                         time += 1.0
+                    pos += 1
                     # The turn's scheduling key is stale once any access
                     # has been processed: the next shared operation must be
                     # re-granted at the advanced key.
@@ -333,65 +310,61 @@ class InOrderCore:
                     # side-effect-free, and no other core can mutate this
                     # core's private L1, so the access is simply processed
                     # on resumption.)
-                    self._instructions += instructions
-                    instructions = 0
                     self._position = pos
                     self.time = turn_time
                     yield
                 lead = lead_col[pos]
                 if lead:
                     time += lead
-                    instructions += lead
-                is_write = op != OP_LOAD
                 kind_code = aux_col[pos]
                 # access_fast returns a 5-tuple (a test double may return
                 # less); only latency and the L1-hit flag matter here.
                 result = access(core_id, pc_col[pos], addr, size_col[pos],
-                                is_write, time)
+                                op != OP_LOAD, time)
                 latency = result[0]
-                l1_hit = result[1]
                 pos += 1
-                instructions += 1
-                self._mem_accesses += 1
-                if is_write:
-                    self._stores += 1
+                mem_latency += latency
+                if result[1]:
+                    l1_hits += 1
                 else:
-                    self._loads += 1
-                self._accesses_by_kind[kind_code] += 1
-                self._mem_latency += latency
-                if l1_hit:
-                    self._l1_hits += 1
-                else:
-                    self._l1_misses += 1
-                    self._misses_by_kind[kind_code] += 1
+                    l1_misses += 1
+                    misses_by_kind[kind_code] += 1
                 stall = latency - 1.0
                 if stall > 0.0:
-                    self._stall_cycles += stall
-                    self._stalls_by_kind[kind_code] += stall
+                    stall_cycles += stall
+                    stalls_by_kind[kind_code] += stall
                     time += 1.0 + stall
                 else:
                     time += 1.0
                 turn_time = time
                 turn_used = True
-        self._instructions += instructions
         self._position = pos
         self.time = time
+        self._l1_hits = l1_hits + inline_hits
+        self._l1_misses = l1_misses
+        self._mem_latency = mem_latency
+        self._stall_cycles = stall_cycles
+        if inline_hits:
+            l1.accesses += inline_hits
+            l1.hits += inline_hits
 
     def finish(self) -> None:
-        """Called once the trace is exhausted; flushes accumulated counters
-        into :class:`CoreStats` (idempotent — safe to call repeatedly)."""
+        """Called once the trace is exhausted; fills :class:`CoreStats`
+        from the trace's summary counts and the accumulated counters
+        (idempotent — safe to call repeatedly)."""
         stats = self.stats
+        trace = self.trace
         stats.cycles = int(self.time)
-        stats.instructions = self._instructions
-        stats.mem_accesses = self._mem_accesses
-        stats.loads = self._loads
-        stats.stores = self._stores
+        stats.instructions = trace.instruction_count
+        stats.mem_accesses = trace.memory_reference_count
+        stats.loads = trace.memory_reference_count - trace.store_count
+        stats.stores = trace.store_count
         stats.l1_hits = self._l1_hits
         stats.l1_misses = self._l1_misses
         stats.total_mem_latency = int(round(self._mem_latency))
         stats.total_stall_cycles = int(round(self._stall_cycles))
+        stats.accesses_by_kind.update(trace.count_by_kind())
         for code, kind in enumerate(KIND_BY_CODE):
-            stats.accesses_by_kind[kind] = self._accesses_by_kind[code]
             stats.misses_by_kind[kind] = self._misses_by_kind[code]
             stats.stall_cycles_by_kind[kind] = int(round(
                 self._stalls_by_kind[code]))
@@ -452,9 +425,7 @@ class OutOfOrderCore(InOrderCore):
                 pos += 1
                 self._inst_seq += 1 + overhead
                 self._drain_window()
-                ops = 1 + overhead
-                self.time += ops
-                self._instructions += ops
+                self.time += 1 + overhead
                 self.memsys.software_prefetch(self.core_id, addr, self.time)
             else:
                 lead = lead_col[pos]
@@ -497,7 +468,6 @@ class OutOfOrderCore(InOrderCore):
                 break
             run = max(0, space)
             self.time += run
-            self._instructions += run
             self._inst_seq += run
             remaining -= run
             pending.popleft()
@@ -505,7 +475,6 @@ class OutOfOrderCore(InOrderCore):
                 self._record_stall(kind_code, completion - self.time)
                 self.time = completion
         self.time += remaining
-        self._instructions += remaining
         self._inst_seq += remaining
 
     def _execute_mem_ref(self, op: int, pc: int, addr: int, size: int,
@@ -516,16 +485,8 @@ class OutOfOrderCore(InOrderCore):
         result = self._access(self.core_id, pc, addr, size, is_write,
                               self.time)
         latency = result[0]
-        l1_hit = result[1]
-        self._instructions += 1
-        self._mem_accesses += 1
-        if is_write:
-            self._stores += 1
-        else:
-            self._loads += 1
-        self._accesses_by_kind[kind_code] += 1
         self._mem_latency += latency
-        if l1_hit:
+        if result[1]:
             self._l1_hits += 1
         else:
             self._l1_misses += 1

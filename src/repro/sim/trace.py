@@ -32,7 +32,7 @@ the fixed width that :data:`COLUMNS` gives it::
     aux   int32  ops for compute runs, the AccessKind code for loads/stores,
                  overhead_ops for software prefetches
     lead  int32  non-memory ops executed immediately before this row's
-                 instruction
+                 instruction (0 on compute rows)
 
 That is 25 bytes per row.  Only ``addr`` keeps 64 bits, because the address
 layout grows with the input size; the other columns hold small codes, PCs
@@ -49,11 +49,11 @@ its compute run — while ``num_rows`` has the row count.
 Workload generators build a core's trace as whole numpy columns and hand
 them to :meth:`Trace.from_columns`, the one constructor, which validates
 them and derives the summary counts (instruction count, memory references,
-per-kind reference counts, entry count) once, so the per-core overhead
-accounting of Figure 10 never rescans the trace.  :class:`TraceBuilder` is
-the per-row API for tests and hand-written traces; it ends in the same
-constructor.  Core models iterate the columns directly and dispatch on the
-integer opcode.
+stores, per-kind reference counts, entry count) once, so neither the core
+models nor the per-core overhead accounting of Figure 10 ever count or
+rescan the trace.  :class:`TraceBuilder` is the per-row API for tests and
+hand-written traces; it ends in the same constructor.  Core models iterate
+the columns directly and dispatch on the integer opcode.
 """
 
 from __future__ import annotations
@@ -129,16 +129,18 @@ class Trace:
     """
 
     __slots__ = ("core_id", "op", "pc", "addr", "size", "aux", "lead",
-                 "_instruction_count", "_mem_ref_count", "_kind_counts",
-                 "_entry_count")
+                 "_instruction_count", "_mem_ref_count", "_store_count",
+                 "_kind_counts", "_entry_count")
 
     def __init__(self, core_id: int, columns: Sequence[array],
                  instruction_count: int, mem_ref_count: int,
-                 kind_counts: List[int], entry_count: int) -> None:
+                 store_count: int, kind_counts: List[int],
+                 entry_count: int) -> None:
         self.core_id = core_id
         self.op, self.pc, self.addr, self.size, self.aux, self.lead = columns
         self._instruction_count = instruction_count
         self._mem_ref_count = mem_ref_count
+        self._store_count = store_count
         self._kind_counts = kind_counts
         self._entry_count = entry_count
 
@@ -149,13 +151,15 @@ class Trace:
 
         Each column may be a numpy array or any integer sequence; it must
         fit the width :data:`COLUMNS` gives it, ``op`` must hold known
-        opcodes and the load/store rows of ``aux`` known kind codes, or a
-        ``ValueError`` names the offending column.  The summary counters
-        are derived from the columns:
+        opcodes, the load/store rows of ``aux`` known kind codes and the
+        compute rows of ``lead`` zero (a compute run is one row's lead or
+        a row of its own, never both), or a ``ValueError`` names the
+        offending column.  The summary counters are derived from the
+        columns:
 
         * instructions = the leads, plus one per load/store, ``1 + aux``
           per software prefetch and ``aux`` per compute row;
-        * memory references = the load/store rows;
+        * memory references = the load/store rows; stores = the store rows;
         * per-kind counts = a bincount of ``aux`` over the load/store rows;
         * entries = rows plus the rows with a nonzero lead.
         """
@@ -167,7 +171,12 @@ class Trace:
         op, _, _, _, aux, lead = columns
         if op.size and (op.min() < OP_COMPUTE or op.max() > OP_SW_PREFETCH):
             raise ValueError("trace column 'op' holds an unknown opcode")
-        is_mem = (op == OP_LOAD) | (op == OP_STORE)
+        is_compute = op == OP_COMPUTE
+        if lead[is_compute].any():
+            raise ValueError("trace column 'lead' holds a nonzero lead on "
+                             "an OP_COMPUTE row")
+        is_store = op == OP_STORE
+        is_mem = (op == OP_LOAD) | is_store
         is_sw = op == OP_SW_PREFETCH
         kind_codes = aux[is_mem]
         if kind_codes.size and (kind_codes.min() < 0
@@ -185,8 +194,9 @@ class Trace:
             core_id, buffers,
             instruction_count=int(
                 lead.sum() + is_mem.sum() + is_sw.sum() + aux[is_sw].sum()
-                + aux[op == OP_COMPUTE].sum()),
+                + aux[is_compute].sum()),
             mem_ref_count=int(is_mem.sum()),
+            store_count=int(is_store.sum()),
             kind_counts=[
                 int(count)
                 for count in np.bincount(kind_codes, minlength=NUM_KINDS)],
@@ -223,6 +233,11 @@ class Trace:
     def memory_reference_count(self) -> int:
         """Number of demand loads/stores in the trace (cached, O(1))."""
         return self._mem_ref_count
+
+    @property
+    def store_count(self) -> int:
+        """Number of demand stores in the trace (cached, O(1))."""
+        return self._store_count
 
     def count_by_kind(self) -> dict:
         """Return the number of memory references per :class:`AccessKind`."""

@@ -127,7 +127,12 @@ class TestValidation:
          "l2_sector_size": 24},
         {"l1d": {"size_bytes": 4096, "associativity": 4,
                  "hit_latency": -1}},
-    ], ids=["sector-negative", "sector-not-dividing", "hit-latency"])
+        {"noc": {"link_bandwidth_flits": 0}},
+        {"noc": {"hop_latency": -2}},
+        {"noc": {"header_flits": -1}},
+    ], ids=["sector-negative", "sector-not-dividing", "hit-latency",
+            "noc-bandwidth-zero", "noc-hop-latency-negative",
+            "noc-header-negative"])
     def test_bad_system_exits_2_through_the_cli(self, tmp_path, system):
         import io
 
@@ -138,6 +143,38 @@ class TestValidation:
         out = io.StringIO()
         assert main(["run", "--scenario", str(path)], out=out) == 2
         assert out.getvalue().startswith("error: bad system")
+
+    @pytest.mark.parametrize("noc, message", [
+        ({"link_bandwidth_flits": 0}, "link_bandwidth_flits must be positive"),
+        ({"link_bandwidth_flits": -1.5},
+         "link_bandwidth_flits must be positive"),
+        ({"hop_latency": -2}, "hop_latency must be non-negative"),
+        ({"header_flits": -1}, "header_flits must be non-negative"),
+    ], ids=["bandwidth-zero", "bandwidth-negative", "hop-latency-negative",
+            "header-negative"])
+    def test_bad_noc(self, noc, message):
+        with pytest.raises(ScenarioError, match=f"bad system.noc: {message}"):
+            ScenarioSpec.from_dict({"workload": "spmv",
+                                    "system": {"noc": noc}})
+
+    @pytest.mark.parametrize("n_cores, message", [
+        ("four", "n_cores must be an integer, not 'four'"),
+        (4.0, "n_cores must be an integer, not 4.0"),
+        (True, "n_cores must be an integer, not True"),
+        (3, "n_cores must be a positive perfect square"),
+        (0, "n_cores must be a positive perfect square"),
+    ], ids=["string", "float", "bool", "not-square", "zero"])
+    def test_bad_n_cores_exits_2_through_the_cli(self, tmp_path, n_cores,
+                                                 message):
+        import io
+
+        from repro.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(three_level_doc(), n_cores=n_cores)))
+        out = io.StringIO()
+        assert main(["run", "--scenario", str(path)], out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
     @pytest.mark.parametrize("imp, message", [
         ({"pt_size": 0}, "pt_size must be positive"),

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 from repro.experiments.durable import read_log
 from repro.experiments.scenario import ScenarioSpec
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def tiny_scenario(seed: int = 1, n_indices: int = 64) -> dict:
@@ -65,3 +72,49 @@ def simulated_done_counts(path) -> dict:
         if entry.get("status") == "done" and entry.get("simulated"):
             counts[entry["id"]] = counts.get(entry["id"], 0) + 1
     return counts
+
+
+def serve_env(**extra):
+    """The environment a ``repro serve`` subprocess runs in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    # In-process execution inside the server: deterministic timing, no
+    # orphaned pool workers when the server is killed.
+    env.pop("REPRO_JOBS", None)
+    env.pop("REPRO_FAULTS", None)
+    env.update(extra)
+    return env
+
+
+def start_serve(cache_dir, *, env=None, queue_depth=32):
+    """Start ``repro serve --port 0`` on ``cache_dir``; returns ``(process,
+    base_url, startup_lines)`` once the server has printed its port."""
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
+         "--cache-dir", str(cache_dir), "--queue-depth", str(queue_depth)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env or serve_env(), cwd=str(cache_dir.parent))
+    port = None
+    startup = []
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        line = process.stdout.readline()
+        if not line:
+            break
+        startup.append(line)
+        if "port=" in line:
+            port = int(line.split("port=")[1].split()[0])
+            break
+    if port is None:
+        process.kill()
+        raise AssertionError("server never printed its port: "
+                             + "".join(startup))
+    return process, f"http://127.0.0.1:{port}", startup
+
+
+def stop_serve(process):
+    """SIGTERM and return (exit_code, remaining_output)."""
+    process.send_signal(signal.SIGTERM)
+    output = process.stdout.read()
+    process.wait(timeout=30)
+    return process.returncode, output

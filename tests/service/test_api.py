@@ -154,9 +154,29 @@ class TestSubmission:
         ({"l1d": {"size_bytes": 4096, "associativity": 4,
                   "hit_latency": -1}},
          "hit_latency must be non-negative"),
-    ], ids=["sector-negative", "sector-not-dividing", "hit-latency"])
+        ({"noc": {"link_bandwidth_flits": 0}},
+         "bad system.noc: link_bandwidth_flits must be positive"),
+        ({"noc": {"hop_latency": -2}},
+         "bad system.noc: hop_latency must be non-negative"),
+        ({"noc": {"header_flits": -1}},
+         "bad system.noc: header_flits must be non-negative"),
+    ], ids=["sector-negative", "sector-not-dividing", "hit-latency",
+            "noc-bandwidth-zero", "noc-hop-latency-negative",
+            "noc-header-negative"])
     def test_bad_system_is_400(self, api, system, message):
         doc = dict(tiny_scenario(1), system=system)
+        status, envelope, _ = post_job(api, doc)
+        assert status == 400
+        assert envelope["error"]["code"] == "invalid-scenario"
+        assert message in envelope["error"]["message"]
+
+    @pytest.mark.parametrize("n_cores, message", [
+        ("four", "n_cores must be an integer, not 'four'"),
+        (4.0, "n_cores must be an integer, not 4.0"),
+        (3, "n_cores must be a positive perfect square"),
+    ], ids=["string", "float", "not-square"])
+    def test_bad_n_cores_is_400(self, api, n_cores, message):
+        doc = dict(tiny_scenario(1), n_cores=n_cores)
         status, envelope, _ = post_job(api, doc)
         assert status == 400
         assert envelope["error"]["code"] == "invalid-scenario"

@@ -4,65 +4,15 @@ same cache directory, and prove bit-identical fingerprints with zero
 duplicate simulations and no accepted job lost."""
 
 import json
-import os
 import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 from svc_helpers import http, journal_entries, poll_job, scenario_digest, \
-    simulated_done_counts
+    serve_env, simulated_done_counts, start_serve, stop_serve
 
 from repro.experiments.faults import KILL_EXIT_CODE, FaultPlan
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.sweep import SweepEngine
 from repro.service.app import JOB_STORE_FILENAME
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def serve_env(**extra):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    # In-process execution inside the server: deterministic timing, no
-    # orphaned pool workers when the server is killed.
-    env.pop("REPRO_JOBS", None)
-    env.pop("REPRO_FAULTS", None)
-    env.update(extra)
-    return env
-
-
-def start_serve(cache_dir, *, env=None, queue_depth=32):
-    process = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
-         "--cache-dir", str(cache_dir), "--queue-depth", str(queue_depth)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env or serve_env(), cwd=str(cache_dir.parent))
-    port = None
-    startup = []
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            break
-        startup.append(line)
-        if "port=" in line:
-            port = int(line.split("port=")[1].split()[0])
-            break
-    if port is None:
-        process.kill()
-        raise AssertionError("server never printed its port: "
-                             + "".join(startup))
-    return process, f"http://127.0.0.1:{port}", startup
-
-
-def stop_serve(process):
-    """SIGTERM and return (exit_code, remaining_output)."""
-    process.send_signal(signal.SIGTERM)
-    output = process.stdout.read()
-    process.wait(timeout=30)
-    return process.returncode, output
 
 
 def clean_fingerprint(doc):

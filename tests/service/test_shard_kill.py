@@ -5,8 +5,8 @@ bit-identical to a serial run, and never simulates anything twice."""
 
 import json
 
-from svc_helpers import simulated_done_counts
-from test_chaos import serve_env, start_serve, stop_serve
+from svc_helpers import serve_env, simulated_done_counts, start_serve, \
+    stop_serve
 
 from repro.experiments.faults import KILL_EXIT_CODE
 from repro.experiments.sweep import (ResultCache, RunPolicy, RunSpec,

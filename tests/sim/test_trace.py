@@ -159,6 +159,7 @@ class TestFromColumns:
             assert candidate.instruction_count == \
                 4 + 2 + 2 + 4 + 2 + 1 + 1 + 7
             assert candidate.memory_reference_count == 5
+            assert candidate.store_count == 2
             assert candidate.count_by_kind() == {
                 AccessKind.INDEX: 1, AccessKind.INDIRECT: 2,
                 AccessKind.STREAM: 1, AccessKind.OTHER: 1}
@@ -184,6 +185,17 @@ class TestFromColumns:
         for code in (len(KIND_BY_CODE), -1):
             with pytest.raises(ValueError, match="'aux'"):
                 Trace.from_columns(0, [OP_LOAD], [0], [0], [8], [code], [0])
+
+    def test_rejects_lead_on_compute_row(self):
+        # The core models never execute a compute row's lead, so counting
+        # it as instructions would make the derived count disagree with
+        # the simulated one.
+        with pytest.raises(ValueError, match="'lead'"):
+            Trace.from_columns(0, [OP_LOAD, OP_COMPUTE], [0, 0], [0, 0],
+                               [8, 0], [0, 5], [1, 2])
+        trace = Trace.from_columns(0, [OP_LOAD, OP_COMPUTE], [0, 0], [0, 0],
+                                   [8, 0], [0, 5], [1, 0])
+        assert trace.instruction_count == 1 + 1 + 5
 
 
 #: One valid load row, column by column in schema order.
