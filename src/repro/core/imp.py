@@ -439,7 +439,7 @@ class IMP(PrefetcherBase):
     # ------------------------------------------------------------------
     # Eviction hook (Granularity Predictor)
     # ------------------------------------------------------------------
-    def on_eviction(self, addr: int, touched_sectors: int, now: float) -> None:
+    def on_eviction(self, addr: int, now: float) -> None:
         if self.config.partial_enabled:
             self.gp.on_eviction(addr)
 

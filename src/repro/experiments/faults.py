@@ -36,8 +36,8 @@ Fault kinds:
     exercising the quarantine + recompute path on the *next* sweep.
 ``interrupt_after``
     Parent-side: raise ``KeyboardInterrupt`` inside the engine loop after
-    N specs have completed — a deterministic stand-in for Ctrl-C /
-    ``SIGKILL`` mid-sweep, used to test ``--resume``.
+    N specs of one sweep have completed — a deterministic stand-in for
+    Ctrl-C / ``SIGKILL`` mid-sweep, used to test ``--resume``.
 
 Service-layer fault points (``repro serve``, :mod:`repro.service`):
 
@@ -103,7 +103,8 @@ class FaultPlan:
     ``kill``, ``transient`` and ``stall`` are per-(spec, attempt)
     probabilities drawn from one hash, so their sum must stay ≤ 1.
     ``corrupt`` is an independent per-spec probability applied to the
-    first cache publish of a digest.  ``max_faults_per_spec`` bounds how
+    cache publish of a digest (once per sweep: a sweep completes each
+    spec once).  ``max_faults_per_spec`` bounds how
     many attempts of one spec may be disturbed (attempts at or beyond the
     bound always run clean), which is what makes recovery provable.
     """

@@ -3,8 +3,9 @@
 The paper's evaluation is a large cross-product — ~10 workloads x 6+ modes
 x {16, 64, 128, 256} cores — and each point is an independent, perfectly
 deterministic simulation.  This module turns every simulation request into
-a picklable, hashable :class:`RunSpec`, executes deduplicated specs across
-a ``ProcessPoolExecutor`` worker pool, and memoises completed results in a
+a picklable, hashable :class:`RunSpec`, hands the deduplicated cache
+misses to a sweep backend (:mod:`repro.experiments.backends`; a worker
+pool by default), and memoises completed results in a
 versioned on-disk cache so re-running any figure, table, or
 ``reproduce_paper.py`` only simulates what changed.
 
@@ -32,15 +33,15 @@ Design rules:
   quarantined (``results/cache/quarantine/``) and treated as a miss, so
   the entry is recomputed and rewritten without aborting the sweep.
 * **Failures are outcomes, not aborts.**  Worker death, per-run wall-clock
-  timeouts and transient exceptions are distinguished, retried with
-  exponential backoff under a :class:`RunPolicy`, and — only once the
-  retry budget is exhausted — reported as structured
-  :class:`FailureRecord` entries (``results/failures.json`` via
-  :func:`write_failure_report`).  A broken worker pool is rebuilt, and
-  after ``max_pool_restarts`` breakages the engine degrades to in-process
-  serial execution instead of giving up.  Every completed spec is
-  journalled (:class:`SweepJournal`, append-only JSONL under the cache
-  directory) so an interrupted sweep resumes from where it died.
+  timeouts, transient exceptions and records that fail
+  :func:`check_record` are distinguished, retried with exponential
+  backoff under a :class:`RunPolicy`, and — only once the retry budget
+  is exhausted — reported as structured :class:`FailureRecord` entries
+  (``results/failures.json`` via :func:`write_failure_report`).  Every
+  backend reports through one :class:`SweepRun` per sweep, so this rule
+  is written once.  Every completed spec is journalled
+  (:class:`SweepJournal`, append-only JSONL under the cache directory)
+  so an interrupted sweep resumes from where it died.
 """
 
 from __future__ import annotations
@@ -50,10 +51,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
@@ -61,7 +59,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from repro.core.config import IMPConfig
 from repro.experiments.configs import experiment_config, scaled_config
 from repro.experiments.durable import AppendLog, publish, read_log
-from repro.experiments.faults import FaultPlan, TransientFault
+from repro.experiments.faults import FaultPlan, corrupt_record
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulationResult, run_workload
 from repro.workloads import workload_from_spec
@@ -298,7 +296,7 @@ def sweep_id(specs: Iterable[RunSpec]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Spec execution (shared by the serial path and pool workers)
+# Spec execution and records (shared by every backend)
 # ----------------------------------------------------------------------
 def execute_spec(spec: RunSpec,
                  workload: Optional[Workload] = None) -> SimulationResult:
@@ -322,48 +320,56 @@ def make_record(spec: RunSpec, result: SimulationResult) -> Dict:
             "result": result.to_dict()}
 
 
-class FingerprintMismatch(ValueError):
-    """A record's stored fingerprint disagrees with its own statistics."""
+class InvalidRecord(ValueError):
+    """A record that cannot stand for its spec.
+
+    ``reason`` names the quarantine class: ``schema``, ``spec-mismatch``,
+    ``fingerprint`` or ``malformed``.
+    """
+
+    def __init__(self, reason: str, detail: str) -> None:
+        super().__init__(detail)
+        self.reason = reason
 
 
 def record_result(record: Dict) -> SimulationResult:
     """Reconstruct a result from a record, verifying its fingerprint."""
     result = SimulationResult.from_dict(record["result"])
     if result.stats.fingerprint() != record["fingerprint"]:
-        raise FingerprintMismatch(
-            "cache record fingerprint does not match its stats")
+        raise InvalidRecord(
+            "fingerprint", "cache record fingerprint does not match its stats")
     return result
 
 
-def _run_batch(payload: Dict) -> List[Dict]:
-    """Worker entry point: simulate one batch of specs.
+def check_record(spec: RunSpec, record) -> SimulationResult:
+    """The one check of a record that claims to hold ``spec``'s result.
 
-    All specs in a batch share one ``build_key``, so a single workload
-    object (and its memoised trace build) serves the whole batch.  Each
-    spec yields an *outcome envelope* — ``{"record": ...}`` on success,
-    ``{"kind": ..., "error": ...}`` on a per-run exception — so one bad
-    run never poisons its batch-mates.  ``payload["faults"]`` (when set)
-    is a :class:`repro.experiments.faults.FaultPlan` applied per spec.
+    Every record passes it before use, whether read from the cache,
+    returned by a pool worker or fetched from a shard: the schema
+    version, the stored spec (in canonical form, so a record written
+    under another NoC kernel backend still matches) and the statistics
+    fingerprint.  Returns the verified result; raises
+    :class:`InvalidRecord` with the reason otherwise.
     """
-    specs = [RunSpec.from_dict(doc) for doc in payload["specs"]]
-    attempts = payload.get("attempts") or [0] * len(specs)
-    plan = (FaultPlan.from_dict(payload["faults"])
-            if payload.get("faults") else None)
-    workload = specs[0].make_workload()
-    outcomes: List[Dict] = []
-    for spec, attempt in zip(specs, attempts):
-        try:
-            if plan is not None:
-                plan.apply(spec.digest(), attempt, in_worker=True)
-            record = make_record(spec, execute_spec(spec, workload=workload))
-        except TransientFault as exc:
-            outcomes.append({"kind": "transient", "error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 — envelope, not swallow
-            outcomes.append({"kind": "error",
-                             "error": f"{type(exc).__name__}: {exc}"})
-        else:
-            outcomes.append({"record": record})
-    return outcomes
+    if not isinstance(record, dict):
+        raise InvalidRecord("malformed", "record is not a JSON object")
+    if record.get("schema") != CACHE_SCHEMA_VERSION:
+        raise InvalidRecord("schema",
+                            f"schema-{record.get('schema')} record "
+                            f"(expected {CACHE_SCHEMA_VERSION})")
+    stored_spec = record.get("spec")
+    if (not isinstance(stored_spec, dict)
+            or _strip_result_neutral(stored_spec) != spec.canonical_dict()):
+        raise InvalidRecord("spec-mismatch",
+                            "record for a different spec "
+                            "(digest collision or skew)")
+    try:
+        return record_result(record)
+    except InvalidRecord:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidRecord("malformed",
+                            f"{type(exc).__name__}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -479,38 +485,18 @@ class ResultCache:
         try:
             with open(path) as handle:
                 record = json.load(handle)
+            result = check_record(spec, record)
         except FileNotFoundError:
             self.misses += 1
             return None
         except json.JSONDecodeError:
             self._quarantine(path, "truncated")
             return None
+        except InvalidRecord as exc:
+            self._quarantine(path, exc.reason)
+            return None
         except OSError:
             self._quarantine(path, "unreadable")
-            return None
-        if not isinstance(record, dict):
-            self._quarantine(path, "malformed")
-            return None
-        if record.get("schema") != CACHE_SCHEMA_VERSION:
-            self._quarantine(path, "schema")
-            return None
-        stored_spec = record.get("spec")
-        # Compare in canonical (result-identity) form: records written
-        # before the NoC ``kernel`` config field existed, or under a
-        # different kernel backend, are the same experiment — every
-        # backend is contractually bit-identical.
-        if (not isinstance(stored_spec, dict)
-                or _strip_result_neutral(stored_spec)
-                != spec.canonical_dict()):
-            self._quarantine(path, "spec-mismatch")
-            return None
-        try:
-            result = record_result(record)
-        except FingerprintMismatch:
-            self._quarantine(path, "fingerprint")
-            return None
-        except (ValueError, KeyError, TypeError, AttributeError):
-            self._quarantine(path, "malformed")
             return None
         self.hits += 1
         return result
@@ -728,6 +714,96 @@ class SweepJournal:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+class SweepRun:
+    """The ledger of one :meth:`SweepEngine.run` call, handed to the
+    backend with the cache misses.
+
+    The backend reports every outcome here: :meth:`complete` for a
+    result or a record, :meth:`charge` for a failed attempt.  Both return
+    the monotonic time a retry of the spec is due, or ``None`` once it is
+    settled; ``abandoned`` means start nothing more (``--fail-fast``).
+    Results, failures, attempt counts and fail-fast state belong to the
+    run, so none of them outlives it.
+    """
+
+    def __init__(self, engine: "SweepEngine",
+                 workload_lookup: Optional[Callable[[RunSpec],
+                                                    Optional[Workload]]]
+                 = None) -> None:
+        self._engine = engine
+        self._lookup = workload_lookup
+        self.jobs = engine.jobs
+        self.policy = engine.policy
+        self.faults = engine.faults
+        self.results: Dict[RunSpec, SimulationResult] = {}
+        self.failures: List[FailureRecord] = []
+        self.attempts: Dict[RunSpec, int] = {}
+        self.abandoned = False
+        self._completed = 0
+
+    def workload(self, spec: RunSpec) -> Optional[Workload]:
+        """The caller's live workload for ``spec`` (reusing its memoised
+        trace build), or ``None`` to rebuild it from the spec."""
+        return self._lookup(spec) if self._lookup is not None else None
+
+    def complete(self, spec: RunSpec,
+                 result: Optional[SimulationResult] = None,
+                 record: Optional[Dict] = None,
+                 source: str = "worker") -> Optional[float]:
+        """Settle ``spec`` with an in-process ``result``, or with a
+        ``record`` from another process or host; a record that fails
+        :func:`check_record` is charged as an ``error`` attempt naming
+        ``source`` instead.  Publishes to the cache and journals."""
+        engine = self._engine
+        if record is not None:
+            try:
+                result = check_record(spec, record)
+            except InvalidRecord as exc:
+                return self.charge(spec, "error",
+                                   f"{source} returned an invalid record "
+                                   f"({exc.reason}: {exc})")
+        engine.simulations_run += 1
+        plan = self.faults
+        if engine.cache is not None:
+            engine.cache.put(spec, record if record is not None
+                             else make_record(spec, result))
+            if plan is not None and plan.should_corrupt(spec.digest()):
+                # Chaos: tear the record just published, modelling a
+                # crashed non-atomic writer.
+                try:
+                    corrupt_record(engine.cache._path(spec))
+                except OSError:
+                    pass
+        self.results[spec] = result
+        if engine.journal is not None:
+            engine.journal.record_ok(spec,
+                                     attempts=self.attempts.get(spec, 0) + 1)
+        self._completed += 1
+        if (plan is not None and plan.interrupt_after is not None
+                and self._completed >= plan.interrupt_after):
+            raise KeyboardInterrupt(
+                f"injected interrupt after {self._completed} runs")
+        return None
+
+    def charge(self, spec: RunSpec, kind: str, error: str,
+               retry: bool = True) -> Optional[float]:
+        """Count one failed attempt of ``spec``: the time its retry is
+        due, or ``None`` once the retry budget is spent (at once when
+        ``retry`` is false, for a deterministic failure).  The spec has
+        then failed for good; without ``keep_going`` the run is
+        abandoned."""
+        attempts = self.attempts[spec] = self.attempts.get(spec, 0) + 1
+        if retry and attempts <= self.policy.retries:
+            return time.monotonic() + self.policy.backoff_for(attempts)
+        failure = FailureRecord.for_spec(spec, kind, attempts, error)
+        self.failures.append(failure)
+        if self._engine.journal is not None:
+            self._engine.journal.record_failed(failure)
+        if not self.policy.keep_going:
+            self.abandoned = True
+        return None
+
+
 class SweepEngine:
     """Executes deduplicated :class:`RunSpec` sets, in parallel when asked.
 
@@ -741,12 +817,14 @@ class SweepEngine:
     ``backend`` selects how cache-miss specs execute — a name from
     :data:`repro.registry.SWEEP_BACKENDS` (``serial``, ``process``, or
     ``service``) or a ready :class:`~repro.experiments.backends.
-    SweepBackend` instance.  The default, ``process``, preserves the
-    historical engine behaviour exactly (serial below the parallel
-    threshold, else the worker pool).  ``shards`` is the ``service``
-    backend's list of ``repro serve`` base URLs; cache lookups,
-    journaling, retry policy and failure reporting all sit *above* the
-    backend, so they behave identically whichever one runs the specs.
+    SweepBackend` instance; ``shards`` is the ``service`` backend's list
+    of ``repro serve`` base URLs.  The engine keeps spec dedupe, cache
+    lookups and journaling.  Each :meth:`run` gives the backend a fresh
+    :class:`SweepRun`, whose ``complete`` and ``charge`` apply the one
+    record check and the one retry rule; the backend owns its execution
+    loop and anything that outlives a run, such as the ``process``
+    backend's worker pool, its rebuilds and its degradation to
+    in-process execution.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -764,13 +842,6 @@ class SweepEngine:
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self.backend = resolve_backend(backend, shards)
         self.simulations_run = 0
-        self.failures: List[FailureRecord] = []
-        self.pool_restarts = 0
-        self.degraded = False
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._abandoned = False
-        self._completed_count = 0
-        self._corrupted: set = set()
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec],
@@ -779,313 +850,30 @@ class SweepEngine:
             ) -> Dict[RunSpec, SimulationResult]:
         """Run every spec (each exactly once) and return spec -> result.
 
-        ``workload_lookup`` lets the serial path reuse live workload
-        objects (and their memoised builds); the parallel path always
-        reconstructs workloads inside the workers.
+        ``workload_lookup`` lets in-process execution reuse live workload
+        objects (and their memoised builds); pool workers and shards
+        always reconstruct workloads from the spec.
 
         Raises :class:`SweepError` when any spec permanently fails after
         retries (with ``keep_going`` every other spec still completes
         first) and ``KeyboardInterrupt``/``SystemExit`` untouched after
-        cleaning up the pool and flushing the journal.
+        the backend cleaned up and the journal was flushed.
         """
-        ordered: List[RunSpec] = list(dict.fromkeys(specs))
-        results: Dict[RunSpec, SimulationResult] = {}
+        run = SweepRun(self, workload_lookup)
         misses: List[RunSpec] = []
-        for spec in ordered:
+        for spec in dict.fromkeys(specs):
             cached = self.cache.get(spec) if self.cache else None
             if cached is not None:
-                results[spec] = cached
+                run.results[spec] = cached
                 if self.journal is not None:
                     self.journal.record_ok(spec, attempts=0, cached=True)
             else:
                 misses.append(spec)
-        if not misses:
-            return results
-        failures: List[FailureRecord] = []
-        self.backend.execute(self, misses, results, workload_lookup,
-                             failures)
-        if failures:
-            self.failures.extend(failures)
-            raise SweepError(failures, results)
-        return results
-
-    # ------------------------------------------------------------------
-    # Shared completion / failure bookkeeping
-    # ------------------------------------------------------------------
-    def _complete(self, spec: RunSpec,
-                  results: Dict[RunSpec, SimulationResult],
-                  result: Optional[SimulationResult] = None,
-                  record: Optional[Dict] = None,
-                  attempts: int = 1) -> None:
-        if result is None:
-            result = record_result(record)
-        self.simulations_run += 1
-        if self.cache is not None:
-            if record is None:
-                record = make_record(spec, result)
-            self.cache.put(spec, record)
-            self._maybe_corrupt(spec)
-        results[spec] = result
-        if self.journal is not None:
-            self.journal.record_ok(spec, attempts=attempts)
-        self._completed_count += 1
-        plan = self.faults
-        if (plan is not None and plan.interrupt_after is not None
-                and self._completed_count >= plan.interrupt_after):
-            raise KeyboardInterrupt(
-                f"injected interrupt after {self._completed_count} runs")
-
-    def _maybe_corrupt(self, spec: RunSpec) -> None:
-        """Chaos hook: tear the record we just published (first publish of
-        a digest per engine), modelling a crashed non-atomic writer."""
-        plan = self.faults
-        if plan is None or plan.corrupt <= 0:
-            return
-        digest = spec.digest()
-        if digest in self._corrupted or not plan.should_corrupt(digest):
-            return
-        self._corrupted.add(digest)
-        from repro.experiments.faults import corrupt_record
-        try:
-            corrupt_record(self.cache._path(spec))
-        except OSError:
-            pass
-
-    def _fail_spec(self, spec: RunSpec, kind: str, error: str,
-                   attempts: int, failures: List[FailureRecord]) -> None:
-        failure = FailureRecord.for_spec(spec, kind, attempts, error)
-        failures.append(failure)
-        if self.journal is not None:
-            self.journal.record_failed(failure)
-        if not self.policy.keep_going:
-            self._abandoned = True
-
-    # ------------------------------------------------------------------
-    # Serial execution (jobs == 1, single miss, or degraded pool)
-    # ------------------------------------------------------------------
-    def _run_serial(self, specs: Sequence[RunSpec],
-                    results: Dict[RunSpec, SimulationResult],
-                    workload_lookup, failures: List[FailureRecord],
-                    attempts: Optional[Dict[RunSpec, int]] = None) -> None:
-        attempts = attempts if attempts is not None else {}
-        plan = self.faults
-        for spec in specs:
-            if self._abandoned:
-                return
-            digest = spec.digest()
-            while True:
-                attempt = attempts.get(spec, 0)
-                try:
-                    if plan is not None:
-                        plan.apply(digest, attempt, in_worker=False)
-                    workload = (workload_lookup(spec) if workload_lookup
-                                else None)
-                    result = execute_spec(spec, workload=workload)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:  # noqa: BLE001 — retried, bounded
-                    kind = ("transient" if isinstance(exc, TransientFault)
-                            else "error")
-                    attempts[spec] = attempt + 1
-                    if attempts[spec] > self.policy.retries:
-                        self._fail_spec(spec, kind,
-                                        f"{type(exc).__name__}: {exc}",
-                                        attempts[spec], failures)
-                        break
-                    time.sleep(self.policy.backoff_for(attempts[spec]))
-                else:
-                    self._complete(spec, results, result=result,
-                                   attempts=attempt + 1)
-                    break
-
-    # ------------------------------------------------------------------
-    # Pool execution with timeouts, retries and graceful degradation
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, outstanding: int) -> ProcessPoolExecutor:
-        if self._pool is None:
-            workers = max(1, min(self.jobs, outstanding))
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        return self._pool
-
-    def _retire_pool(self, terminate: bool) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if not terminate:
-            pool.shutdown()
-            return
-        # A stuck or killed worker cannot be joined: cancel what never
-        # started, then forcibly terminate the worker processes so their
-        # wall-clock (and the stall, if injected) is reclaimed.
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except (OSError, ValueError, AttributeError):
-                pass
-
-    def _pool_broken(self, waiting, inflight, reason: str) -> None:
-        """Requeue in-flight work uncharged and rebuild (or give up on)
-        the pool."""
-        now = time.monotonic()
-        for future in list(inflight):
-            batch, _ = inflight.pop(future)
-            waiting.append((now, batch))
-        self._retire_pool(terminate=True)
-        self.pool_restarts += 1
-        if self.pool_restarts > self.policy.max_pool_restarts:
-            if not self.degraded:
-                print(f"[sweep] warning: worker pool unusable after "
-                      f"{self.pool_restarts} restarts ({reason}); "
-                      f"degrading to in-process serial execution",
-                      file=sys.stderr)
-            self.degraded = True
-
-    def _charge(self, specs: Sequence[RunSpec], kind: str, error: str,
-                attempts: Dict[RunSpec, int], waiting,
-                failures: List[FailureRecord]) -> None:
-        """Count one failed attempt against each spec; requeue survivors
-        (grouped to keep sharing trace builds) with exponential backoff."""
-        retryable: List[RunSpec] = []
-        worst = 0
-        for spec in specs:
-            attempts[spec] = attempts.get(spec, 0) + 1
-            if attempts[spec] > self.policy.retries:
-                self._fail_spec(spec, kind, error, attempts[spec], failures)
-            else:
-                retryable.append(spec)
-                worst = max(worst, attempts[spec])
-        if not retryable:
-            return
-        ready_at = time.monotonic() + self.policy.backoff_for(worst)
-        regrouped: Dict[Tuple, List[RunSpec]] = {}
-        for spec in retryable:
-            regrouped.setdefault(spec.build_key, []).append(spec)
-        for batch in regrouped.values():
-            waiting.append((ready_at, batch))
-
-    def _run_pool(self, misses: Sequence[RunSpec],
-                  results: Dict[RunSpec, SimulationResult],
-                  failures: List[FailureRecord]) -> None:
-        policy = self.policy
-        attempts: Dict[RunSpec, int] = {}
-        grouped: Dict[Tuple, List[RunSpec]] = {}
-        for spec in misses:
-            grouped.setdefault(spec.build_key, []).append(spec)
-        # (ready_at, batch) pairs; ready_at > now while backing off.
-        waiting: List[Tuple[float, List[RunSpec]]] = [
-            (0.0, batch) for batch in grouped.values()]
-        inflight: Dict = {}
-        plan_dict = self.faults.to_dict() if self.faults is not None else None
-        try:
-            while (waiting or inflight) and not self._abandoned \
-                    and not self.degraded:
-                now = time.monotonic()
-                # Submit every ready batch (bounded, to keep retry batches
-                # interleaving with first-time work).
-                ready = [item for item in waiting if item[0] <= now]
-                for item in ready:
-                    if len(inflight) >= 2 * self.jobs:
-                        break
-                    waiting.remove(item)
-                    batch = item[1]
-                    payload = {
-                        "specs": [spec.to_dict() for spec in batch],
-                        "attempts": [attempts.get(spec, 0)
-                                     for spec in batch],
-                        "faults": plan_dict,
-                    }
-                    try:
-                        pool = self._ensure_pool(len(waiting)
-                                                 + len(inflight) + 1)
-                        future = pool.submit(_run_batch, payload)
-                    except (BrokenProcessPool, RuntimeError, OSError) as exc:
-                        waiting.append((now, batch))
-                        self._pool_broken(waiting, inflight,
-                                          f"submit failed: {exc}")
-                        break
-                    deadline = (now + policy.timeout * len(batch)
-                                if policy.timeout else None)
-                    inflight[future] = (batch, deadline)
-                if not inflight:
-                    if waiting and not self.degraded:
-                        # Everything is backing off; sleep to the nearest
-                        # ready time.
-                        ready_at = min(item[0] for item in waiting)
-                        time.sleep(max(0.0, ready_at - time.monotonic()))
-                    continue
-                # Wait for a completion, the nearest deadline, or the
-                # nearest backoff expiry — whichever comes first.
-                now = time.monotonic()
-                horizons = [deadline for _, deadline in inflight.values()
-                            if deadline is not None]
-                horizons.extend(item[0] for item in waiting
-                                if item[0] > now)
-                wait_for = None
-                if horizons:
-                    wait_for = max(0.0, min(horizons) - time.monotonic())
-                done, _ = futures_wait(set(inflight), timeout=wait_for,
-                                       return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    batch, _ = inflight.pop(future)
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        self._charge(batch, "worker_death",
-                                     "worker process died "
-                                     "(BrokenProcessPool)",
-                                     attempts, waiting, failures)
-                    except Exception as exc:  # noqa: BLE001
-                        self._charge(batch, "error",
-                                     f"{type(exc).__name__}: {exc}",
-                                     attempts, waiting, failures)
-                    else:
-                        for spec, outcome in zip(batch, outcomes):
-                            record = outcome.get("record")
-                            if record is not None:
-                                self._complete(
-                                    spec, results, record=record,
-                                    attempts=attempts.get(spec, 0) + 1)
-                            else:
-                                self._charge(
-                                    [spec], outcome.get("kind", "error"),
-                                    outcome.get("error", "unknown error"),
-                                    attempts, waiting, failures)
-                if broken:
-                    self._pool_broken(waiting, inflight,
-                                      "worker process died")
-                    continue
-                # Enforce per-run wall-clock deadlines: a stuck worker is
-                # unrecoverable in-place, so expired batches are charged a
-                # timeout and the pool is rebuilt without them.
-                now = time.monotonic()
-                expired = [future for future, (_, deadline)
-                           in inflight.items()
-                           if deadline is not None and deadline <= now]
-                if expired:
-                    for future in expired:
-                        batch, _ = inflight.pop(future)
-                        self._charge(batch, "timeout",
-                                     f"run exceeded the {policy.timeout}s "
-                                     f"wall-clock timeout",
-                                     attempts, waiting, failures)
-                    self._pool_broken(waiting, inflight, "stuck worker")
-        except (KeyboardInterrupt, SystemExit):
-            self._retire_pool(terminate=True)
-            raise
-        if self._abandoned:
-            self._retire_pool(terminate=True)
-            return
-        if self.degraded:
-            self._retire_pool(terminate=True)
-            leftovers = [spec for _, batch in waiting for spec in batch]
-            self._run_serial(leftovers, results, None, failures,
-                             attempts=attempts)
-            return
-        self._retire_pool(terminate=False)
+        if misses:
+            self.backend.execute(run, misses)
+        if run.failures:
+            raise SweepError(run.failures, run.results)
+        return run.results
 
 
 def run_specs(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,

@@ -10,14 +10,13 @@ values through :class:`repro.mem_image.MemoryImage`).  Lines track:
   remaining latency (a *late prefetch*, Section 6.1.1),
 * whether the line was brought in by a prefetch and whether it has been
   referenced since (for prefetch accuracy accounting),
-* a valid-bit mask over sectors when the cache is sectored (Section 4.1) and
-  a touched-bit mask used by the granularity predictor.
+* a valid-bit mask over sectors when the cache is sectored (Section 4.1).
 
 The cache sits on the hot path of every simulated memory reference, so
 its storage is **flat preallocated columns**, not objects: one slot per
 (set, way) in parallel columns holding tag, line address, ready time, LRU
-stamp, insertion sequence number, packed status flags and the two sector
-masks.  A per-set ``{tag: way}`` dict provides the O(1) probe; misses,
+stamp, insertion sequence number, packed status flags and the sector
+valid mask.  A per-set ``{tag: way}`` dict provides the O(1) probe; misses,
 fills and evictions move integers and floats between the columns and
 allocate nothing.  (The columns are plain Python lists rather than
 ``array('q')``/``array('d')`` buffers: ``array`` re-boxes a fresh
@@ -27,10 +26,10 @@ the miss-heavy fill/evict loop this layout exists for.)
 The API is scalar throughout: :meth:`Cache.access_fast` /
 :meth:`Cache.access_hit` for demand lookups, :meth:`Cache.fill_fast` for
 fills and :meth:`Cache.invalidate_fast` for invalidations.  Eviction
-victims are exposed as the ``victim_addr`` / ``victim_dirty`` /
-``victim_touched`` scalar scratch fields, valid until the next fill into
-the same cache.  No per-line object exists; whoever needs a line's state
-reads the columns at the slot :meth:`Cache._way_of` returns.
+victims are exposed as the ``victim_addr`` / ``victim_dirty`` scalar
+scratch fields, valid until the next fill into the same cache.  No
+per-line object exists; whoever needs a line's state reads the columns
+at the slot :meth:`Cache._way_of` returns.
 
 Victim selection is true LRU with the insertion-order tie-break of the
 previous dict-of-line-objects representation: the per-line ``seq``
@@ -69,12 +68,11 @@ class Cache:
     __slots__ = ("config", "line_size", "num_sets", "assoc", "sector_size",
                  "sectors_per_line", "_index", "_free", "_tags", "_addrs",
                  "_ready", "_last_use", "_seq", "_flags", "_sector_valid",
-                 "_sector_touched", "_fill_seq", "_full_sectors",
+                 "_fill_seq", "_full_sectors",
                  "_line_shift", "_set_shift", "_offset_mask", "_set_mask",
                  "_tag_shift", "_sector_mask_cache", "accesses", "hits",
                  "misses", "sector_misses", "evictions", "prefetch_fills",
-                 "unused_prefetch_evictions", "victim_addr", "victim_dirty",
-                 "victim_touched")
+                 "unused_prefetch_evictions", "victim_addr", "victim_dirty")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -92,7 +90,6 @@ class Cache:
         self._seq: List[int] = [0] * slots
         self._flags: List[int] = [0] * slots
         self._sector_valid: List[int] = [0] * slots
-        self._sector_touched: List[int] = [0] * slots
         # O(1) probe index: one {tag: way} dict per set.  Slots not in the
         # index are free and listed (in reverse so pop() hands them out in
         # way order) in the per-set free list.
@@ -107,7 +104,6 @@ class Cache:
         # fill (valid until the next fill into this cache).
         self.victim_addr = 0
         self.victim_dirty = 0
-        self.victim_touched = 0
         # Shift/mask addressing for power-of-two geometries (the normal
         # case); division/modulo fallbacks keep odd geometries working.
         self._line_shift = _shift_of(self.line_size)
@@ -205,11 +201,8 @@ class Cache:
                 self.sector_misses += 1
                 self.misses += 1
                 return None
-        else:
-            mask = 1
         self.hits += 1
         self._last_use[way] = now
-        self._sector_touched[way] |= mask
         flags = self._flags[way]
         if is_write:
             flags |= FLAG_DIRTY
@@ -240,11 +233,8 @@ class Cache:
                 self.sector_misses += 1
                 self.misses += 1
                 return False
-        else:
-            mask = 1
         self.hits += 1
         self._last_use[way] = now
-        self._sector_touched[way] |= mask
         flags = self._flags[way]
         if is_write:
             flags |= FLAG_DIRTY
@@ -264,9 +254,9 @@ class Cache:
 
         ``sectors`` is the mask of sectors being brought in; ``None`` means
         the full line.  Returns True when a line was evicted, in which case
-        ``victim_addr`` / ``victim_dirty`` / ``victim_touched`` describe the
-        victim (valid until the next fill; the caller charges write-back
-        traffic for dirty victims).  Allocates nothing.
+        ``victim_addr`` / ``victim_dirty`` describe the victim (valid until
+        the next fill; the caller charges write-back traffic for dirty
+        victims).  Allocates nothing.
 
         The victim of a full set is its true-LRU line: the minimum
         ``(last_use, seq)``, where the ``seq`` tie-break reproduces the
@@ -321,7 +311,6 @@ class Cache:
                 self.unused_prefetch_evictions += 1
             self.victim_addr = self._addrs[way]
             self.victim_dirty = flags & FLAG_DIRTY
-            self.victim_touched = self._sector_touched[way]
             del index[self._tags[way]]
             evicted = True
         self._fill_seq = seq = self._fill_seq + 1
@@ -344,7 +333,6 @@ class Cache:
         flag_col[way] = flags
         self._sector_valid[way] = (self._full_sectors if sectors is None
                                    else sectors)
-        self._sector_touched[way] = 0
         index[tag] = way
         return evicted
 

@@ -566,8 +566,7 @@ class MemorySystem:
         for attach in self._attaches:
             if (attach.level_index == level_index
                     and attach.has_on_eviction[core_id]):
-                attach.prefetchers[core_id].on_eviction(
-                    victim_addr, cache.victim_touched, now)
+                attach.prefetchers[core_id].on_eviction(victim_addr, now)
         if level_index == self._outermost_private:
             for inner in range(level_index):
                 flags = self._private_caches[inner][core_id].invalidate_fast(
@@ -602,8 +601,7 @@ class MemorySystem:
     def _handle_l2_eviction(self, home: int, cache, now: float) -> None:
         for attach in self._shared_attaches:
             if attach.has_on_eviction[home]:
-                attach.prefetchers[home].on_eviction(
-                    cache.victim_addr, cache.victim_touched, now)
+                attach.prefetchers[home].on_eviction(cache.victim_addr, now)
         if not cache.victim_dirty:
             return
         victim_addr = cache.victim_addr

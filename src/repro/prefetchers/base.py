@@ -106,7 +106,7 @@ class PrefetcherBase:
         """Observe a fill completing (used for prefetch chaining)."""
         return []
 
-    def on_eviction(self, addr: int, touched_sectors: int, now: float) -> None:
+    def on_eviction(self, addr: int, now: float) -> None:
         """Observe an L1 eviction (used by the granularity predictor)."""
 
     def reset(self) -> None:

@@ -26,7 +26,6 @@ class Line(NamedTuple):
     from_prefetch: bool
     prefetch_referenced: bool
     sector_valid: int
-    sector_touched: int
 
 
 def _decode(cache: Cache, way: int) -> Line:
@@ -35,7 +34,7 @@ def _decode(cache: Cache, way: int) -> Line:
                 cache._ready[way], cache._last_use[way],
                 bool(flags & FLAG_FROM_PREFETCH),
                 bool(flags & FLAG_PREFETCH_REFERENCED),
-                cache._sector_valid[way], cache._sector_touched[way])
+                cache._sector_valid[way])
 
 
 def line_at(cache: Cache, addr: int) -> Optional[Line]:

@@ -250,7 +250,7 @@ class TestPartialAccessing:
         gp_entry = imp.gp.entry(entry.entry_id)
         sampled = list(gp_entry.samples)
         assert sampled, "GP sampled no prefetched lines"
-        imp.on_eviction(sampled[0], touched_sectors=0b1, now=1000.0)
+        imp.on_eviction(sampled[0], now=1000.0)
         assert imp.gp.predictions_updated == 1
 
     def test_partial_disabled_always_full_line(self):

@@ -349,3 +349,60 @@ class TestBackendEquivalence:
                 if digest in {spec.digest() for spec in specs}}
         finally:
             app.stop(drain_timeout=10.0)
+
+
+# ----------------------------------------------------------------------
+# Ingest: a shard record is checked before it is ever used or published
+# ----------------------------------------------------------------------
+class TestServiceIngestRejection:
+    @pytest.mark.parametrize("tamper", ["schema", "spec", "fingerprint"])
+    def test_tampered_record_is_charged_never_ingested(self, tmp_path,
+                                                       monkeypatch, tamper):
+        # The shard simulates correctly, but the record it returns is
+        # tampered on the way back: a stale schema, another spec's spec,
+        # or an edited fingerprint.  Each must cost the spec one ``error``
+        # attempt naming the shard, and must reach neither the results
+        # nor the local cache.
+        from repro.experiments import backends
+        from repro.experiments.sweep import RunPolicy, SweepError
+        from repro.service import ServiceApp
+        from repro.service.client import ServiceClient
+
+        specs, lookup = make_specs(2)
+        victim, other = specs
+
+        class TamperingClient(ServiceClient):
+            def result(self, digest):
+                status, envelope, headers = super().result(digest)
+                record = envelope["data"]["record"]
+                if tamper == "schema":
+                    record["schema"] = 2
+                elif tamper == "spec":
+                    record["spec"] = other.to_dict()
+                else:
+                    record["fingerprint"]["runtime_cycles"] += 1
+                return status, envelope, headers
+
+        monkeypatch.setattr(backends, "ServiceClient", TamperingClient)
+        app = ServiceApp(tmp_path / "shard", port=0, queue_depth=8)
+        app.start()
+        try:
+            cache = ResultCache(tmp_path / "local")
+            engine = SweepEngine(jobs=1, cache=cache, backend="service",
+                                 shards=[app.url],
+                                 policy=RunPolicy(retries=0, backoff=0.0))
+            with pytest.raises(SweepError) as excinfo:
+                engine.run([victim], workload_lookup=lookup.get)
+        finally:
+            app.stop(drain_timeout=10.0)
+        error = excinfo.value
+        assert error.results == {}
+        assert [(failure.digest, failure.kind, failure.attempts)
+                for failure in error.failures] == [
+                    (victim.digest(), "error", 1)]
+        assert f"shard {app.url}" in error.failures[0].error
+        assert engine.backend.ingested == 0
+        assert engine.simulations_run == 0
+        assert cache.stores == 0
+        assert list((tmp_path / "local").glob("*.json")) == []
+        assert cache.get(victim) is None

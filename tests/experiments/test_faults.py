@@ -138,8 +138,8 @@ class TestWorkerDeathRecovery:
         plan = FaultPlan(seed=7, kill=0.9)
         engine = SweepEngine(jobs=2, policy=CHAOS_POLICY, faults=plan)
         assert_bit_identical(engine.run(tiny_specs()), golden)
-        assert engine.pool_restarts >= 1
-        assert not engine.degraded
+        assert engine.backend.pool_restarts >= 1
+        assert not engine.backend.degraded
 
     def test_unusable_pool_degrades_to_serial(self, golden):
         # Every attempt kills its worker, so the pool can never make
@@ -151,8 +151,8 @@ class TestWorkerDeathRecovery:
             policy=RunPolicy(retries=1000, backoff=0.0,
                              max_pool_restarts=2))
         assert_bit_identical(engine.run(tiny_specs()), golden)
-        assert engine.degraded
-        assert engine.pool_restarts == 3
+        assert engine.backend.degraded
+        assert engine.backend.pool_restarts == 3
 
 
 class TestTimeoutRecovery:
@@ -171,7 +171,7 @@ class TestTimeoutRecovery:
             engine.run(specs),
             {digest: fp for digest, fp in golden.items()
              if digest in {spec.digest() for spec in specs}})
-        assert engine.pool_restarts >= 1
+        assert engine.backend.pool_restarts >= 1
 
 
 class TestPermanentFailures:
@@ -204,6 +204,23 @@ class TestPermanentFailures:
         with pytest.raises(SweepError) as excinfo:
             engine.run(tiny_specs())
         assert len(excinfo.value.failures) == 1
+
+    def test_fail_fast_state_ends_with_its_run(self, golden):
+        # A fail-fast run that abandoned its work must not leave the
+        # engine abandoned: the next run on the same engine executes its
+        # specs (an empty answer would be a KeyError for the caller).
+        engine = SweepEngine(
+            jobs=1, backend="serial",
+            faults=FaultPlan(transient=1.0, max_faults_per_spec=5),
+            policy=RunPolicy(retries=0, backoff=0, keep_going=False))
+        first, second = tiny_specs(("base", "imp"))
+        with pytest.raises(SweepError):
+            engine.run([first])
+        engine.faults = None
+        results = engine.run([second])
+        assert list(results) == [second]
+        digest = second.digest()
+        assert_bit_identical(results, {digest: golden[digest]})
 
     def test_failure_kinds_are_distinguished(self):
         from repro.experiments.sweep import FailureRecord
@@ -243,7 +260,7 @@ class TestInterruptAndResume:
             faults=FaultPlan(seed=1, interrupt_after=1))
         with pytest.raises(KeyboardInterrupt):
             engine.run(tiny_specs())
-        assert engine._pool is None  # terminated, not leaked
+        assert engine.backend._pool is None  # terminated, not leaked
         resumed = SweepEngine(jobs=2, cache=ResultCache(cache_dir),
                               policy=CHAOS_POLICY)
         assert_bit_identical(resumed.run(tiny_specs()), golden)

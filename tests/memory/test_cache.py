@@ -144,13 +144,6 @@ class TestSectorCache:
         assert line_at(cache, 0x1000).sector_valid == 0b10001
         assert cache.access_fast(0x1020, 8, False, now=2) is not None
 
-    def test_touched_sectors_recorded_on_hits(self):
-        cache = make_cache(sector=8)
-        cache.fill_fast(0x1000, now=0, ready_time=0)
-        cache.access_fast(0x1000, 8, False, now=1)
-        cache.access_fast(0x1018, 8, False, now=2)
-        assert line_at(cache, 0x1000).sector_touched == 0b1001
-
     def test_non_sectored_cache_has_single_sector(self):
         cache = make_cache(sector=0)
         assert cache.sectors_per_line == 1

@@ -23,8 +23,7 @@ from repro.sim.config import CacheConfig
 
 class _RefLine:
     __slots__ = ("tag", "addr", "dirty", "ready_time", "last_use",
-                 "from_prefetch", "prefetch_referenced", "sector_valid",
-                 "sector_touched")
+                 "from_prefetch", "prefetch_referenced", "sector_valid")
 
     def __init__(self, tag, addr, ready_time, last_use, from_prefetch,
                  sector_valid):
@@ -36,7 +35,6 @@ class _RefLine:
         self.from_prefetch = from_prefetch
         self.prefetch_referenced = False
         self.sector_valid = sector_valid
-        self.sector_touched = 0
 
 
 class ReferenceCache:
@@ -93,11 +91,8 @@ class ReferenceCache:
                 self.sector_misses += 1
                 self.misses += 1
                 return None
-        else:
-            mask = 1
         self.hits += 1
         line.last_use = now
-        line.sector_touched |= mask
         if is_write:
             line.dirty = True
         if line.from_prefetch:
@@ -155,8 +150,7 @@ def _state_of(cache):
                  else resident_lines(cache)):
         lines.append((line.addr, bool(line.dirty), line.ready_time,
                       line.last_use, bool(line.from_prefetch),
-                      bool(line.prefetch_referenced), line.sector_valid,
-                      line.sector_touched))
+                      bool(line.prefetch_referenced), line.sector_valid))
     return sorted(lines)
 
 
@@ -222,7 +216,6 @@ def _drive(config: CacheConfig, seed: int, steps: int = 2500,
                 assert line.addr == want.addr
                 assert bool(got & FLAG_DIRTY) == bool(want.dirty)
                 assert line.sector_valid == want.sector_valid
-                assert line.sector_touched == want.sector_touched
                 assert line_at(flat, addr) is None
         if step % 97 == 0:
             assert _state_of(flat) == _state_of(reference), f"step {step}"
@@ -238,8 +231,6 @@ def _check_eviction(flat, evicted_flat, evicted_ref, step):
     if evicted_ref is not None:
         assert flat.victim_addr == evicted_ref.addr, f"step {step}"
         assert bool(flat.victim_dirty) == bool(evicted_ref.dirty), \
-            f"step {step}"
-        assert flat.victim_touched == evicted_ref.sector_touched, \
             f"step {step}"
 
 

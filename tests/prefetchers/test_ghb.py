@@ -77,4 +77,4 @@ class TestNullPrefetcher:
         null = NullPrefetcher()
         assert null.on_access(miss(0x1000)) == []
         assert null.on_fill(0x1000, 0.0) == []
-        null.on_eviction(0x1000, 0, 0.0)     # must not raise
+        null.on_eviction(0x1000, 0.0)        # must not raise
