@@ -66,10 +66,12 @@ from typing import List, Optional, Sequence
 from repro.core.config import IMPConfig
 from repro.experiments import ExperimentRunner, figures, scaled_config
 from repro.experiments.configs import CONFIG_MODES, experiment_config
+from repro.experiments.faults import (FAULTS_ENV_VAR, FaultInjectionError,
+                                      FaultPlan)
 from repro.experiments.scenario import ScenarioError, load_scenario
 from repro.registry import (ALL_REGISTRIES, NOC_KERNELS, PREFETCHERS,
                             SWEEP_BACKENDS, RegistryError)
-from repro.sim.config import check_core_count
+from repro.sim.config import SystemConfig
 from repro.sim.system import run_workload
 from repro.workloads import PAPER_WORKLOADS, REGULAR_WORKLOADS, make_workload
 from repro.workloads.synthetic import IndirectStreamWorkload, StreamingWorkload
@@ -994,13 +996,18 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         except RegistryError as exc:
             print(f"error: $REPRO_NOC_KERNEL: {exc}", file=out)
             return 2
+    try:
+        FaultPlan.from_env()
+    except FaultInjectionError as exc:
+        print(f"error: ${FAULTS_ENV_VAR}: {exc}", file=out)
+        return 2
     # Every --cores flag (a list for ``sweep``) feeds SystemConfig; refuse
     # a count the mesh cannot tile here, not as a traceback mid-command.
     cores = getattr(args, "cores", None)
     for n_cores in cores if isinstance(cores, list) else [cores]:
         if n_cores is not None:
             try:
-                check_core_count(n_cores)
+                SystemConfig(n_cores=n_cores)
             except ValueError as exc:
                 print(f"error: --cores: {exc}", file=out)
                 return 2

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
+from repro.contract import (NON_NEGATIVE, POSITIVE, UNIT, Range, check,
+                            check_sectors)
 from repro.prefetchers.stream import StreamPrefetcherConfig
 
 
@@ -63,29 +65,30 @@ class IMPConfig:
     line_size: int = 64
     address_bits: int = 48
 
+    RANGES = {"pt_size": POSITIVE, "max_indirect_ways": POSITIVE,
+              "max_indirect_levels": POSITIVE,
+              "max_prefetch_distance": POSITIVE,
+              "confidence_threshold": NON_NEGATIVE,
+              "max_confidence": NON_NEGATIVE, "ipd_size": POSITIVE,
+              "shift_values": Range(bool, "a non-empty list of ints"),
+              "baseaddr_array_len": POSITIVE, "backoff_base": NON_NEGATIVE,
+              "max_backoff": NON_NEGATIVE, "gp_samples": POSITIVE,
+              "rw_write_threshold": NON_NEGATIVE, "rw_max_count": NON_NEGATIVE,
+              "throttle_window": POSITIVE, "throttle_low_ratio": UNIT,
+              "line_size": POSITIVE, "address_bits": POSITIVE}
+
     def __post_init__(self) -> None:
-        for name in ("pt_size", "max_indirect_ways", "max_indirect_levels",
-                     "ipd_size", "baseaddr_array_len",
-                     "max_prefetch_distance", "gp_samples",
-                     "throttle_window", "line_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"imp {name} must be positive, got "
-                                 f"{getattr(self, name)}")
-        for name in ("l1_sector_size", "l2_sector_size"):
-            sector = getattr(self, name)
-            if sector < 1 or self.line_size % sector:
-                raise ValueError(
-                    f"imp {name} must be positive and divide the "
-                    f"{self.line_size}-byte line, got {sector}")
+        check(self)
+        check_sectors(self, self.line_size)
         # A threshold the saturating counter can never reach silently
         # disables the mechanism it gates.
-        if not 0 <= self.confidence_threshold <= self.max_confidence:
+        if self.confidence_threshold > self.max_confidence:
             raise ValueError(
-                f"imp confidence_threshold must be in [0, max_confidence="
+                f"confidence_threshold must be in [0, max_confidence="
                 f"{self.max_confidence}], got {self.confidence_threshold}")
         if self.rw_write_threshold > self.rw_max_count:
             raise ValueError(
-                f"imp rw_write_threshold must not exceed rw_max_count="
+                f"rw_write_threshold must not exceed rw_max_count="
                 f"{self.rw_max_count}, got {self.rw_write_threshold}")
 
     def with_partial(self, enabled: bool = True) -> "IMPConfig":
@@ -119,6 +122,8 @@ class IMPConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "IMPConfig":
         doc = dict(doc)
-        doc["shift_values"] = tuple(doc["shift_values"])
-        doc["stream"] = StreamPrefetcherConfig(**doc["stream"])
+        if "shift_values" in doc:
+            doc["shift_values"] = tuple(doc["shift_values"])
+        if "stream" in doc:
+            doc["stream"] = StreamPrefetcherConfig(**doc["stream"])
         return cls(**doc)

@@ -81,6 +81,8 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
+from repro.contract import NON_NEGATIVE, UNIT, check, check_keys
+
 #: Environment variable holding a JSON ``FaultPlan`` for CLI-level chaos.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
@@ -122,18 +124,18 @@ class FaultPlan:
     serve_stall: float = 0.0
     serve_corrupt: float = 0.0
 
+    RANGES = {"seed": NON_NEGATIVE, "stall_seconds": NON_NEGATIVE,
+              "max_faults_per_spec": NON_NEGATIVE,
+              "interrupt_after": NON_NEGATIVE,
+              **dict.fromkeys(("kill", "transient", "stall", "corrupt",
+                               "serve_kill", "serve_kill_post",
+                               "serve_stall", "serve_corrupt"), UNIT)}
+
     def __post_init__(self) -> None:
-        for name in ("kill", "transient", "stall", "corrupt", "serve_kill",
-                     "serve_kill_post", "serve_stall", "serve_corrupt"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise FaultInjectionError(
-                    f"fault rate {name}={rate!r} must be within [0, 1]")
+        check(self, FaultInjectionError)
         if self.kill + self.transient + self.stall > 1.0:
             raise FaultInjectionError(
                 "kill + transient + stall rates must sum to at most 1")
-        if self.max_faults_per_spec < 0:
-            raise FaultInjectionError("max_faults_per_spec must be >= 0")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -144,12 +146,8 @@ class FaultPlan:
         if not isinstance(doc, dict):
             raise FaultInjectionError(
                 f"fault plan must be a JSON object, got {type(doc).__name__}")
-        valid = {field for field in cls.__dataclass_fields__}
-        unknown = sorted(set(doc) - valid)
-        if unknown:
-            raise FaultInjectionError(
-                f"unknown fault plan field(s) {', '.join(unknown)}; "
-                f"valid fields: {', '.join(sorted(valid))}")
+        check_keys(doc, sorted(cls.__dataclass_fields__), "fault plan",
+                   FaultInjectionError)
         return cls(**doc)
 
     @classmethod

@@ -3,50 +3,30 @@
 A *scenario* is a plain dict (usually a JSON file) that names a complete
 simulation point: workload + parameters, experiment mode, core count, and
 optional system/IMP configuration overrides — including an explicit cache
-:class:`~repro.sim.config.HierarchyConfig`.  Scenarios are validated
-against the component registries up front (unknown workloads, modes, DRAM
-models or config fields fail with the full list of valid choices), resolve
+:class:`~repro.sim.config.HierarchyConfig` (see
+``examples/scenarios/hybrid_stream_l1_imp_l2.json``: a stream prefetcher
+at every L1 plus IMP at the private L2s).  A scenario resolves
 deterministically into a :class:`repro.experiments.sweep.RunSpec`, and
-therefore flow through the sweep engine, the worker pool and the
+therefore flows through the sweep engine, the worker pool and the
 persistent on-disk result cache exactly like the built-in figures.
 
-Example (``repro run --scenario my.json``) — a hybrid multi-attach
-hierarchy: a stream prefetcher at every L1 plus IMP at the private L2s::
-
-    {
-      "name": "hybrid-stream-l1-imp-l2",
-      "workload": "indirect_stream",
-      "workload_params": {"n_indices": 2048, "n_data": 8192, "seed": 3},
-      "mode": "imp",
-      "n_cores": 4,
-      "system": {
-        "hierarchy": {
-          "attach": [
-            {"level": "l1", "prefetcher": "stream"},
-            {"level": "l2", "prefetcher": "imp"}
-          ],
-          "levels": [
-            {"name": "l1", "size_bytes": 16384, "associativity": 4},
-            {"name": "l2", "size_bytes": 65536, "associativity": 8,
-             "hit_latency": 4},
-            {"name": "l3", "size_bytes": 131072, "associativity": 8,
-             "scope": "shared", "hit_latency": 8}
-          ]
-        }
-      }
-    }
-
-Each ``attach`` entry names a level and (optionally) a registered
-prefetcher — omit ``"prefetcher"`` (or set it ``null``) to attach the
-experiment mode's choice; name the shared last level to put a per-slice
-prefetcher on it.  The legacy single-attach form ``"prefetch_level":
-"l2"`` is still accepted and means ``"attach": [{"level": "l2"}]``.
-
 ``system`` keys override fields of the scaled experiment platform
-(:func:`repro.experiments.configs.scaled_config`); ``imp`` keys override
-:class:`repro.core.config.IMPConfig` fields.  Two scenario files that
-spell the same configuration — whatever their key order — produce the
-same canonical form, the same :class:`RunSpec` and the same cache digest.
+(:func:`repro.experiments.configs.scaled_config`), nested ``l1d`` /
+``noc`` / ``dram`` / ``hierarchy`` mappings spelling their classes'
+fields; ``imp`` keys override :class:`repro.core.config.IMPConfig`
+fields.  Two scenario files that spell the same configuration — whatever
+their key order — produce the same canonical form, the same
+:class:`RunSpec` and the same cache digest.
+
+Every value is validated up front against the declared input contract
+(:mod:`repro.contract`): each field's exact type and range, nothing
+coerced, workload parameters under one rule read from the workload
+constructor's annotations (an ``int`` size is positive, ``seed``
+non-negative, a ``float`` positive, a ``bool`` exact), and registry names
+against their registries.  Whatever is wrong raises one
+:class:`ScenarioError` naming the section, the field, its range and the
+value, e.g. ``bad system.dram: latency_cycles must be non-negative (an
+int >= 0, below 2**31), got -100``.
 """
 
 from __future__ import annotations
@@ -56,13 +36,14 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.contract import (POSITIVE, check, check_keys, check_params,
+                            registered)
 from repro.core.config import IMPConfig
 from repro.experiments.configs import scaled_config
 from repro.experiments.sweep import ResultCache, RunSpec, SweepEngine
 from repro.prefetchers.stream import StreamPrefetcherConfig
 from repro.registry import MODES, WORKLOADS
-from repro.sim.config import (CacheConfig, DramConfig, HierarchyConfig,
-                              NoCConfig, SystemConfig, check_core_count)
+from repro.sim.config import MESH_CORES, NESTED_CONFIGS, SystemConfig
 from repro.sim.system import SimulationResult
 from repro.workloads.base import Workload
 
@@ -75,22 +56,6 @@ class ScenarioError(ValueError):
 _SCENARIO_KEYS = ("name", "description", "workload", "workload_params",
                   "mode", "n_cores", "system", "imp",
                   "sw_prefetch_distance")
-
-#: ``system`` override keys that take nested dictionaries, with their
-#: target config class.
-_NESTED_SYSTEM_KEYS = {
-    "l1d": CacheConfig,
-    "noc": NoCConfig,
-    "dram": DramConfig,
-}
-
-
-def _check_keys(doc: Mapping, allowed, what: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ScenarioError(
-            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
-            f"valid keys: {', '.join(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -107,27 +72,13 @@ class ScenarioSpec:
     imp: Mapping = field(default_factory=dict)
     sw_prefetch_distance: int = 8
 
+    RANGES = {"workload": registered(WORKLOADS), "mode": registered(MODES),
+              "n_cores": MESH_CORES, "sw_prefetch_distance": POSITIVE}
+
     def __post_init__(self) -> None:
-        WORKLOADS.get(self.workload)   # raises listing valid workloads
-        MODES.get(self.mode)           # raises listing valid modes
-        # Exactly an int: 4.0 would canonicalise to a different digest.
-        if type(self.n_cores) is not int:
-            raise ScenarioError(
-                f"n_cores must be an integer, not {self.n_cores!r}")
-        check_core_count(self.n_cores)
-        if not isinstance(self.workload_params, Mapping):
-            raise ScenarioError("workload_params must be a mapping")
-        _check_keys(self.system,
-                    tuple(f.name for f in fields(SystemConfig)), "system")
-        if "n_cores" in self.system:
-            raise ScenarioError(
-                "set the core count with the top-level 'n_cores' key, "
-                "not inside 'system'")
-        _check_keys(self.imp,
-                    tuple(f.name for f in fields(IMPConfig)), "imp")
-        # Resolve once so bad nested values (cache geometry, DRAM model,
-        # hierarchy shape, workload parameters) fail here, at validation
-        # time, not deep inside system construction.
+        # Resolve once so every bad value (a top-level field, a workload
+        # parameter, a nested config field, the hierarchy shape) fails
+        # here, at validation time, not deep inside system construction.
         self.resolve()
 
     # ------------------------------------------------------------------
@@ -135,7 +86,7 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ScenarioSpec":
-        _check_keys(doc, _SCENARIO_KEYS, "scenario")
+        check_keys(doc, _SCENARIO_KEYS, "scenario", ScenarioError)
         if "workload" not in doc:
             raise ScenarioError("scenario must name a 'workload'")
         return cls(**{key: doc[key] for key in _SCENARIO_KEYS if key in doc})
@@ -176,44 +127,41 @@ class ScenarioSpec:
         return cached
 
     def _resolve(self) -> Tuple[Workload, SystemConfig, IMPConfig]:
-        entry = WORKLOADS.get(self.workload)
+        where = ""          # the document path being built, for errors
         try:
-            workload = entry.factory(**dict(self.workload_params))
-        except TypeError as exc:
-            raise ScenarioError(
-                f"bad workload_params for {self.workload!r}: {exc}") from exc
-        base = scaled_config(self.n_cores)
-        overrides: Dict = {}
-        for key, value in self.system.items():
-            if key in _NESTED_SYSTEM_KEYS and isinstance(value, Mapping):
-                try:
-                    value = _NESTED_SYSTEM_KEYS[key](**value)
-                except (TypeError, ValueError) as exc:
-                    raise ScenarioError(
-                        f"bad system.{key}: {exc}") from exc
-            elif key == "hierarchy" and isinstance(value, Mapping):
-                try:
-                    value = HierarchyConfig.from_dict(value)
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ScenarioError(
-                        f"bad system.hierarchy: {exc}") from exc
-            overrides[key] = value
-        try:
-            config = replace(base, **overrides) if overrides else base
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad system overrides: {exc}") from exc
-        imp_overrides: Dict = dict(self.imp)
-        if isinstance(imp_overrides.get("stream"), Mapping):
-            try:
+            check(self)
+            check_keys(self.system,
+                       tuple(f.name for f in fields(SystemConfig)), "system")
+            if "n_cores" in self.system:
+                raise ScenarioError(
+                    "set the core count with the top-level 'n_cores' key, "
+                    "not inside 'system'")
+            check_keys(self.imp,
+                       tuple(f.name for f in fields(IMPConfig)), "imp")
+            where = "workload_params"
+            factory = WORKLOADS.get(self.workload).factory
+            check_params(factory, self.workload_params)
+            workload = factory(**self.workload_params)
+            overrides: Dict = {}
+            for key, value in self.system.items():
+                where = f"system.{key}"
+                if key in NESTED_CONFIGS and isinstance(value, Mapping):
+                    value = NESTED_CONFIGS[key](**value)
+                overrides[key] = value
+            where = "system"
+            config = replace(scaled_config(self.n_cores), **overrides)
+            imp_overrides: Dict = dict(self.imp)
+            where = "imp.stream"
+            if isinstance(imp_overrides.get("stream"), Mapping):
                 imp_overrides["stream"] = StreamPrefetcherConfig(
                     **imp_overrides["stream"])
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"bad imp.stream: {exc}") from exc
-        try:
-            imp_config = (replace(IMPConfig(), **imp_overrides)
-                          if imp_overrides else IMPConfig())
+            where = "imp"
+            imp_config = replace(IMPConfig(), **imp_overrides)
+        except ScenarioError:
+            raise
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad imp overrides: {exc}") from exc
+            raise ScenarioError(f"bad {where}: {exc}" if where
+                                else str(exc)) from None
         return workload, config, imp_config
 
     def to_runspec(self) -> RunSpec:

@@ -489,11 +489,11 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except json.JSONDecodeError:
-            self._quarantine(path, "truncated")
-            return None
         except InvalidRecord as exc:
             self._quarantine(path, exc.reason)
+            return None
+        except ValueError:  # torn JSON, or bytes that are not UTF-8
+            self._quarantine(path, "truncated")
             return None
         except OSError:
             self._quarantine(path, "unreadable")

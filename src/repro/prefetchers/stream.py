@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.contract import NON_NEGATIVE, POSITIVE, check
 from repro.prefetchers.base import AccessContext, PrefetcherBase, PrefetchRequest
 
 
@@ -35,15 +36,16 @@ class StreamPrefetcherConfig:
     line_size: int = 64
     max_hit_cnt: int = 15          # saturating counter ceiling
 
+    RANGES = {"table_size": POSITIVE, "train_threshold": NON_NEGATIVE,
+              "initial_distance": POSITIVE, "max_distance": POSITIVE,
+              "degree": POSITIVE, "line_size": POSITIVE,
+              "max_hit_cnt": NON_NEGATIVE}
+
     def __post_init__(self) -> None:
-        for name in ("table_size", "initial_distance", "max_distance",
-                     "degree", "line_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"stream {name} must be positive, got "
-                                 f"{getattr(self, name)}")
-        if not 0 <= self.train_threshold <= self.max_hit_cnt:
+        check(self)
+        if self.train_threshold > self.max_hit_cnt:
             raise ValueError(
-                f"stream train_threshold must be in [0, max_hit_cnt="
+                f"train_threshold must be in [0, max_hit_cnt="
                 f"{self.max_hit_cnt}], got {self.train_threshold}")
 
 

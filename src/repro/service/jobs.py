@@ -35,15 +35,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional
 
-from repro.core.config import IMPConfig
+from repro.contract import check_keys
 from repro.experiments.faults import FaultPlan
 from repro.experiments.scenario import ScenarioError, ScenarioSpec
 from repro.experiments.sweep import (FailureRecord, ResultCache, RunPolicy,
                                      RunSpec, SweepEngine, SweepError, _thaw)
-from repro.registry import MODES, WORKLOADS
 from repro.service import store as job_states
 from repro.service.store import JobStore
-from repro.sim.config import SystemConfig
 
 
 class QueueFull(RuntimeError):
@@ -74,20 +72,16 @@ def parse_job_document(doc: Mapping) -> JobSource:
       --scenario`` consumes, validated by :class:`ScenarioSpec`;
     * a **runspec** document — ``{"runspec": RunSpec.to_dict(), "name":
       ...}``, the exact spec a sweep engine holds, submitted by the
-      ``service`` sweep backend.  The registry names and both config
-      payloads are validated at admission (listing the valid choices,
-      like the scenario path) so a bad document is a 400, not a failed
+      ``service`` sweep backend.  Its fields pass the same checks as a
+      scenario's at admission, so a bad document is a 400, not a failed
       job.
 
     Raises :class:`ScenarioError` (a ``ValueError``) for anything
     invalid, exactly like the scenario path always has.
     """
     if "runspec" in doc:
-        unknown = sorted(set(doc) - {"runspec", "name"})
-        if unknown:
-            raise ScenarioError(
-                f"unknown runspec-document key(s): {', '.join(unknown)} "
-                f"(allowed: runspec, name)")
+        check_keys(doc, ("runspec", "name"), "runspec-document",
+                   ScenarioError)
         body = doc.get("runspec")
         if not isinstance(body, Mapping):
             raise ScenarioError(
@@ -98,15 +92,20 @@ def parse_job_document(doc: Mapping) -> JobSource:
             raise ScenarioError(
                 f"invalid runspec document "
                 f"({type(exc).__name__}: {exc})") from None
-        WORKLOADS.get(runspec.workload)   # raise, listing valid choices
-        MODES.get(runspec.mode)
-        try:
-            IMPConfig.from_dict(_thaw(runspec.imp_config))
-            SystemConfig.from_dict(_thaw(runspec.base_config))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ScenarioError(
-                f"invalid runspec configuration payload "
-                f"({type(exc).__name__}: {exc})") from None
+        # The runspec's fields pass the scenario path's checks, its two
+        # configurations as the overrides of a scenario.
+        system = _thaw(runspec.base_config)
+        cores = system.pop("n_cores", None) if isinstance(system, dict) \
+            else None
+        ScenarioSpec(workload=runspec.workload, mode=runspec.mode,
+                     n_cores=runspec.n_cores,
+                     workload_params=_thaw(runspec.workload_params),
+                     system=system, imp=_thaw(runspec.imp_config),
+                     sw_prefetch_distance=runspec.sw_prefetch_distance)
+        if not (cores is None or type(cores) is int
+                and cores == runspec.n_cores):
+            raise ScenarioError(f"runspec base_config.n_cores must equal "
+                                f"{runspec.n_cores}, got {cores!r}")
         name = doc.get("name") or runspec.workload
         if not isinstance(name, str):
             raise ScenarioError("'name' must be a string")

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
+
+from repro.contract import (LIMIT, NON_NEGATIVE, POSITIVE, Range, check,
+                            check_keys, check_sectors, one_of, registered)
+from repro.registry import DRAM_MODELS, NOC_KERNELS, PREFETCHERS
 
 
 @dataclass(frozen=True)
@@ -29,19 +33,20 @@ class CacheConfig:
     sector_size: int = 0  # 0 = not sectored
     hit_latency: int = 1
 
+    RANGES = {"size_bytes": POSITIVE, "associativity": POSITIVE,
+              "line_size": POSITIVE, "sector_size": NON_NEGATIVE,
+              "hit_latency": NON_NEGATIVE}
+
     def __post_init__(self) -> None:
-        for name in ("size_bytes", "associativity", "line_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"cache {name} must be positive")
-        if self.sector_size < 0:
-            raise ValueError("cache sector_size must be non-negative")
-        if self.hit_latency < 0:
-            raise ValueError("cache hit_latency must be non-negative")
+        check(self)
         if self.size_bytes % (self.associativity * self.line_size) != 0:
             raise ValueError(
-                "cache size must be a multiple of associativity * line size")
+                f"size_bytes must be a multiple of associativity * "
+                f"line_size, got {self.size_bytes}")
         if self.sector_size and self.line_size % self.sector_size != 0:
-            raise ValueError("line size must be a multiple of the sector size")
+            raise ValueError(
+                f"line_size must be a multiple of sector_size, got "
+                f"{self.line_size}")
 
     @property
     def num_sets(self) -> int:
@@ -74,20 +79,12 @@ class NoCConfig:
     link_bandwidth_flits: float = 1.0  # flits per cycle per link
     kernel: str = "compiled"      # NOC_KERNELS backend name
 
+    RANGES = {"hop_latency": NON_NEGATIVE, "flit_bytes": POSITIVE,
+              "header_flits": NON_NEGATIVE, "link_bandwidth_flits": POSITIVE,
+              "kernel": registered(NOC_KERNELS)}
+
     def __post_init__(self) -> None:
-        # Validate the kernel name against the registry here, at
-        # configuration time, so a typo fails with the full list of valid
-        # backends instead of erroring deep inside system construction.
-        from repro.registry import NOC_KERNELS
-        NOC_KERNELS.get(self.kernel)
-        if self.flit_bytes < 1:
-            raise ValueError("flit_bytes must be at least 1")
-        if not self.link_bandwidth_flits > 0:
-            raise ValueError("link_bandwidth_flits must be positive")
-        if self.hop_latency < 0:
-            raise ValueError("hop_latency must be non-negative")
-        if self.header_flits < 0:
-            raise ValueError("header_flits must be non-negative")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -108,12 +105,13 @@ class LevelConfig:
     hit_latency: int = 1
     sector_size: int = 0  # 0 = not sectored (partial knobs may sector L1/shared)
 
+    RANGES = {"size_bytes": POSITIVE, "associativity": POSITIVE,
+              "scope": one_of("private", "shared"), "line_size": POSITIVE,
+              "hit_latency": NON_NEGATIVE, "sector_size": NON_NEGATIVE}
+
     def __post_init__(self) -> None:
-        if self.scope not in ("private", "shared"):
-            raise ValueError(
-                f"level {self.name!r}: scope must be 'private' or 'shared', "
-                f"got {self.scope!r}")
-        # Delegate geometry validation to CacheConfig.
+        check(self)
+        # The geometry rules relating several fields are CacheConfig's.
         self.cache_config()
 
     def cache_config(self, sector_size: Optional[int] = None) -> CacheConfig:
@@ -152,16 +150,28 @@ class PrefetcherAttach:
     level: str
     prefetcher: Optional[str] = None
 
+    RANGES = {"prefetcher": registered(PREFETCHERS)}
+
     def __post_init__(self) -> None:
-        # Validate the prefetcher name against the registry here, at
-        # configuration time, so a typo fails with the full list of valid
-        # prefetchers instead of erroring deep inside system construction.
-        if self.prefetcher is not None:
-            from repro.registry import PREFETCHERS
-            PREFETCHERS.get(self.prefetcher)
+        check(self)
 
     def to_dict(self) -> dict:
         return {"level": self.level, "prefetcher": self.prefetcher}
+
+
+def _entries(name: str, value) -> tuple:
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _coerce_level(entry) -> LevelConfig:
+    if isinstance(entry, LevelConfig):
+        return entry
+    try:
+        return LevelConfig(**entry)
+    except TypeError as exc:      # not a mapping, or not LevelConfig's keys
+        raise ValueError(f"bad levels entry {entry!r}: {exc}") from None
 
 
 def _coerce_attach(entry) -> PrefetcherAttach:
@@ -170,11 +180,7 @@ def _coerce_attach(entry) -> PrefetcherAttach:
     if isinstance(entry, str):
         return PrefetcherAttach(level=entry)
     if isinstance(entry, dict):
-        unknown = sorted(set(entry) - {"level", "prefetcher"})
-        if unknown:
-            raise ValueError(
-                f"unknown attach key(s) {', '.join(map(repr, unknown))}; "
-                f"valid keys: level, prefetcher")
+        check_keys(entry, ("level", "prefetcher"), "attach")
         if "level" not in entry:
             raise ValueError("an attach entry must name a 'level'")
         return PrefetcherAttach(**entry)
@@ -214,8 +220,7 @@ class HierarchyConfig:
 
     def __post_init__(self) -> None:
         # Tolerate lists/dicts from JSON-shaped constructors.
-        levels = tuple(LevelConfig(**lvl) if isinstance(lvl, dict) else lvl
-                       for lvl in self.levels)
+        levels = tuple(map(_coerce_level, _entries("levels", self.levels)))
         object.__setattr__(self, "levels", levels)
         if len(levels) < 2:
             raise ValueError("a hierarchy needs at least two levels "
@@ -251,7 +256,8 @@ class HierarchyConfig:
                     f"private level; private levels: {names[:-1]}")
             attach = (PrefetcherAttach(level=level),)
         else:
-            attach = tuple(_coerce_attach(entry) for entry in self.attach)
+            attach = tuple(map(_coerce_attach,
+                               _entries("attach", self.attach)))
             seen = set()
             for entry in attach:
                 if entry.level not in names:
@@ -310,10 +316,7 @@ class HierarchyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HierarchyConfig":
-        attach = doc.get("attach")
-        return cls(levels=tuple(LevelConfig(**lvl) for lvl in doc["levels"]),
-                   attach=tuple(attach) if attach is not None else None,
-                   prefetch_level=doc.get("prefetch_level"))
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -332,20 +335,22 @@ class DramConfig:
     t_ras: int = 24
     row_size: int = 2048
 
+    RANGES = {"model": registered(DRAM_MODELS),
+              "latency_cycles": NON_NEGATIVE,
+              "bandwidth_bytes_per_cycle": POSITIVE,
+              "access_granularity": POSITIVE, "banks_per_rank": POSITIVE,
+              "t_rcd": NON_NEGATIVE, "t_rp": NON_NEGATIVE,
+              "t_cas": NON_NEGATIVE, "t_ras": NON_NEGATIVE,
+              "row_size": POSITIVE}
+
     def __post_init__(self) -> None:
-        # Validate the model name against the registry here, at
-        # configuration time, so a typo fails with the full list of valid
-        # models instead of erroring deep inside system construction.
-        from repro.registry import DRAM_MODELS
-        DRAM_MODELS.get(self.model)
+        check(self)
 
 
-def check_core_count(n_cores: int) -> None:
-    """Refuse a core count the 2-D mesh cannot tile: it must be a positive
-    perfect square."""
-    if n_cores < 1 or round(math.sqrt(n_cores)) ** 2 != n_cores:
-        raise ValueError(f"n_cores must be a positive perfect square "
-                         f"(1, 4, 16, 64, ...) for a 2-D mesh, got {n_cores}")
+#: A core count the 2-D mesh can tile.
+MESH_CORES = Range(lambda v: 0 < v < LIMIT and math.isqrt(v) ** 2 == v,
+                   "a positive perfect square (1, 4, 16, 64, ...) for a "
+                   "2-D mesh")
 
 
 @dataclass(frozen=True)
@@ -379,26 +384,18 @@ class SystemConfig:
     # :meth:`resolved_hierarchy`.
     hierarchy: Optional[HierarchyConfig] = None
 
+    RANGES = {"n_cores": MESH_CORES, "frequency_ghz": POSITIVE,
+              "core_model": one_of("in-order", "ooo"),
+              "rob_size": POSITIVE, "l2_assoc": POSITIVE,
+              "l2_total_mb_at_1core": POSITIVE,
+              "ackwise_pointers": POSITIVE,
+              "perfect_prefetch_lead": NON_NEGATIVE}
+
     def __post_init__(self) -> None:
-        check_core_count(self.n_cores)
-        if self.core_model not in ("in-order", "ooo"):
-            raise ValueError("core_model must be 'in-order' or 'ooo'")
-        if self.l2_assoc < 1:
-            raise ValueError("l2_assoc must be positive")
-        if isinstance(self.hierarchy, dict):
-            object.__setattr__(self, "hierarchy",
-                               HierarchyConfig.from_dict(self.hierarchy))
-        # The partial-accessing sector sizes are only used when a partial
-        # knob builds the sectored caches, so check them here, up front.
+        check(self)
         # Every hierarchy level shares one line size.
-        line = (self.l1d.line_size if self.hierarchy is None
-                else self.hierarchy.levels[0].line_size)
-        for name in ("l1_sector_size", "l2_sector_size"):
-            sector = getattr(self, name)
-            if sector < 1 or line % sector:
-                raise ValueError(
-                    f"{name} must be positive and divide the {line}-byte "
-                    f"line, got {sector}")
+        check_sectors(self, self.l1d.line_size if self.hierarchy is None
+                      else self.hierarchy.levels[0].line_size)
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -541,10 +538,13 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SystemConfig":
         doc = dict(doc)
-        doc["l1d"] = CacheConfig(**doc["l1d"])
-        doc["noc"] = NoCConfig(**doc["noc"])
-        doc["dram"] = DramConfig(**doc["dram"])
-        hierarchy = doc.get("hierarchy")
-        doc["hierarchy"] = (HierarchyConfig.from_dict(hierarchy)
-                            if hierarchy else None)
+        for key, nested in NESTED_CONFIGS.items():
+            if isinstance(doc.get(key), Mapping):
+                doc[key] = nested(**doc[key])
         return cls(**doc)
+
+
+#: The :class:`SystemConfig` fields holding a nested configuration, with
+#: its class: a document spells each as a mapping of that class's fields.
+NESTED_CONFIGS = {"l1d": CacheConfig, "noc": NoCConfig, "dram": DramConfig,
+                  "hierarchy": HierarchyConfig}

@@ -66,7 +66,8 @@ class TestActivationAndConfidence:
 
     @pytest.mark.parametrize("fields, message", [
         ({"confidence_threshold": 9}, "confidence_threshold must be in"),
-        ({"confidence_threshold": -1}, "confidence_threshold must be in"),
+        ({"confidence_threshold": -1},
+         "confidence_threshold must be non-negative"),
         ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
     ])
     def test_unreachable_thresholds_are_rejected(self, fields, message):

@@ -87,6 +87,17 @@ class TestFaultPlan:
         with pytest.raises(FaultInjectionError):
             FaultPlan.from_dict({"seed": 1, "explode": True})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kill": "x"}, "kill"), ({"kill": True}, "kill"),
+        ({"seed": "x"}, "seed"), ({"seed": -1}, "seed"),
+        ({"max_faults_per_spec": 1.5}, "max_faults_per_spec"),
+        ({"interrupt_after": "x"}, "interrupt_after"),
+        ({"stall_seconds": -1}, "stall_seconds"),
+    ])
+    def test_every_field_is_declared(self, doc, field):
+        with pytest.raises(FaultInjectionError, match=f"^{field} must be"):
+            FaultPlan.from_dict(doc)
+
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert FaultPlan.from_env() is None
@@ -279,3 +290,19 @@ class TestCacheCorruptionInjection:
         assert_bit_identical(healer.run(tiny_specs()), golden)
         assert cache.quarantined == 3
         assert healer.simulations_run == 3
+
+
+class TestChaosSmoke:
+    def test_chaos_smoke_converges(self, tmp_path, capsys):
+        """The self-checking chaos smoke (``python -m
+        repro.experiments.faults``): a parallel sweep disturbed by seeded
+        worker kills, transients, stalls past the timeout, a mid-sweep
+        interrupt and a torn record, resumed to completion, ends
+        bit-identical to a clean serial sweep with the torn record
+        quarantined."""
+        from repro.experiments.faults import main
+
+        assert main(["--jobs", "2", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fingerprints bit-identical" in out
+        assert ", 1 quarantined," in out

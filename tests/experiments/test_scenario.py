@@ -1,6 +1,7 @@
 """Tests for declarative scenarios (repro.experiments.scenario)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,61 @@ from repro.experiments.sweep import ResultCache
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCENARIO_DIR = REPO_ROOT / "examples" / "scenarios"
+
+
+#: Input probes that used to run silently or die in a traceback, as
+#: ``system`` overrides.
+SYSTEM_PROBES = [
+    pytest.param({"dram": {"latency_cycles": -100}}, id="dram-latency"),
+    pytest.param({"frequency_ghz": 0}, id="frequency-zero"),
+    pytest.param({"rob_size": 0}, id="rob-size-zero"),
+    pytest.param({"perfect_prefetch_lead": -5}, id="prefetch-lead"),
+    pytest.param({"l2_assoc": 8.0}, id="l2-assoc-float"),
+    pytest.param({"dram": {"bandwidth_bytes_per_cycle": 0}},
+                 id="dram-bandwidth-zero"),
+    pytest.param({"dram": {"access_granularity": 0}},
+                 id="dram-granularity-zero"),
+    pytest.param({"dram": {"model": "banked", "banks_per_rank": 0}},
+                 id="dram-banks-zero"),
+    pytest.param({"noc": {"hop_latency": 2 ** 63}}, id="noc-hop-latency-huge"),
+    pytest.param({"l1d": {"size_bytes": 2 ** 63, "associativity": 4}},
+                 id="l1d-size-huge"),
+    pytest.param({"hierarchy": {"levels": [1, 2]}},
+                 id="hierarchy-levels-not-mappings"),
+    pytest.param({"hierarchy": {"levels": "ab"}},
+                 id="hierarchy-levels-string"),
+    pytest.param({"hierarchy": {"levels": {"a": 1}}},
+                 id="hierarchy-levels-mapping"),
+]
+
+#: Workload-parameter (and top-level distance) probes: a scenario-document
+#: update and the error it must give.
+WORKLOAD_PROBES = [
+    pytest.param({"workload_params": {"n_indices": 0}},
+                 r"bad workload_params: n_indices must be positive "
+                 r"\(an int > 0, below 2\*\*31\), got 0", id="n-indices-zero"),
+    pytest.param({"workload_params": {"n_indices": -5}},
+                 "n_indices must be positive .*got -5",
+                 id="n-indices-negative"),
+    pytest.param({"workload_params": {"n_indices": "abc"}},
+                 "n_indices must be positive .*got 'abc'",
+                 id="n-indices-string"),
+    pytest.param({"workload_params": {"n_indices": 256.0}},
+                 "n_indices must be positive .*got 256.0",
+                 id="n-indices-float"),
+    pytest.param({"workload_params": {"n_indices": 2 ** 63}},
+                 f"n_indices must be positive .*got {2 ** 63}",
+                 id="n-indices-huge"),
+    pytest.param({"workload_params": {"n_data": 0}},
+                 "n_data must be positive .*got 0", id="n-data-zero"),
+    pytest.param({"workload_params": {"seed": "x"}},
+                 r"seed must be non-negative \(an int >= 0, below 2\*\*31\), "
+                 r"got 'x'",
+                 id="seed-string"),
+    pytest.param({"sw_prefetch_distance": -3},
+                 "^error: sw_prefetch_distance must be positive .*got -3",
+                 id="sw-distance-negative"),
+]
 
 
 def three_level_doc(**overrides):
@@ -130,9 +186,10 @@ class TestValidation:
         {"noc": {"link_bandwidth_flits": 0}},
         {"noc": {"hop_latency": -2}},
         {"noc": {"header_flits": -1}},
+        *SYSTEM_PROBES,
     ], ids=["sector-negative", "sector-not-dividing", "hit-latency",
             "noc-bandwidth-zero", "noc-hop-latency-negative",
-            "noc-header-negative"])
+            "noc-header-negative", *(probe.id for probe in SYSTEM_PROBES)])
     def test_bad_system_exits_2_through_the_cli(self, tmp_path, system):
         import io
 
@@ -142,7 +199,8 @@ class TestValidation:
             dict(three_level_doc(), system=system)))
         out = io.StringIO()
         assert main(["run", "--scenario", str(path)], out=out) == 2
-        assert out.getvalue().startswith("error: bad system")
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad system")
 
     @pytest.mark.parametrize("noc, message", [
         ({"link_bandwidth_flits": 0}, "link_bandwidth_flits must be positive"),
@@ -158,9 +216,12 @@ class TestValidation:
                                     "system": {"noc": noc}})
 
     @pytest.mark.parametrize("n_cores, message", [
-        ("four", "n_cores must be an integer, not 'four'"),
-        (4.0, "n_cores must be an integer, not 4.0"),
-        (True, "n_cores must be an integer, not True"),
+        ("four", "n_cores must be a positive perfect square (1, 4, 16, 64, "
+                 "...) for a 2-D mesh, got 'four'"),
+        (4.0, "n_cores must be a positive perfect square (1, 4, 16, 64, "
+              "...) for a 2-D mesh, got 4.0"),
+        (True, "n_cores must be a positive perfect square (1, 4, 16, 64, "
+               "...) for a 2-D mesh, got True"),
         (3, "n_cores must be a positive perfect square"),
         (0, "n_cores must be a positive perfect square"),
     ], ids=["string", "float", "bool", "not-square", "zero"])
@@ -187,27 +248,42 @@ class TestValidation:
         ({"confidence_threshold": 9}, "confidence_threshold must be in"),
         ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
         ({"stream": {"table_size": 0}},
-         "bad imp.stream: stream table_size must be positive"),
+         "bad imp.stream: table_size must be positive"),
         ({"stream": {"train_threshold": 16}},
-         "bad imp.stream: stream train_threshold must be in"),
+         "bad imp.stream: train_threshold must be in"),
+        ({"pt_size": 16.5}, r"bad imp: pt_size must be positive \(an int > "
+                            r"0, below 2\*\*31\), got 16.5"),
+        ({"pt_size": 2 ** 63}, "bad imp: pt_size must be positive .*got "
+                               f"{2 ** 63}"),
+        ({"pt_size": True}, "bad imp: pt_size must be positive .*got True"),
+        ({"throttle_low_ratio": 5}, r"bad imp: throttle_low_ratio must be a "
+                                    r"finite number in \[0, 1\], got 5"),
+        ({"shift_values": "abc"}, "bad imp: shift_values must be a "
+                                  "non-empty list of ints, got 'abc'"),
     ], ids=["pt-zero", "ipd-negative", "distance-zero", "samples-zero",
             "l1-sector-zero", "l2-sector-not-dividing", "confidence-high",
             "rw-threshold-high", "stream-table-zero",
-            "stream-threshold-high"])
+            "stream-threshold-high", "pt-float", "pt-huge", "pt-bool",
+            "ratio-high", "shift-values-string"])
     def test_bad_imp_overrides(self, imp, message):
         doc = {"workload": "spmv", "mode": "imp", "imp": imp}
         with pytest.raises(ScenarioError, match=message):
             ScenarioSpec.from_dict(doc)
 
     @pytest.mark.parametrize("imp,prefix", [
-        ({"pt_size": 0}, "error: bad imp overrides"),
+        ({"pt_size": 0}, "error: bad imp: pt_size"),
         ({"l1_sector_size": 0, "partial_enabled": True},
-         "error: bad imp overrides"),
-        ({"confidence_threshold": 9}, "error: bad imp overrides"),
-        ({"rw_write_threshold": 4}, "error: bad imp overrides"),
+         "error: bad imp: l1_sector_size"),
+        ({"confidence_threshold": 9}, "error: bad imp: confidence_threshold"),
+        ({"rw_write_threshold": 4}, "error: bad imp: rw_write_threshold"),
         ({"stream": {"table_size": 0}}, "error: bad imp.stream"),
+        ({"pt_size": 16.5}, "error: bad imp: pt_size"),
+        ({"pt_size": True}, "error: bad imp: pt_size"),
+        ({"throttle_low_ratio": 5}, "error: bad imp: throttle_low_ratio"),
+        ({"shift_values": "abc"}, "error: bad imp: shift_values"),
     ], ids=["pt-zero", "l1-sector-zero", "confidence-high",
-            "rw-threshold-high", "stream-table-zero"])
+            "rw-threshold-high", "stream-table-zero", "pt-float", "pt-bool",
+            "ratio-high", "shift-values-string"])
     def test_bad_imp_exits_2_through_the_cli(self, tmp_path, imp, prefix):
         import io
 
@@ -225,6 +301,28 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="workload_params"):
             ScenarioSpec.from_dict({"workload": "spmv",
                                     "workload_params": {"bogus_arg": 1}})
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param({"workload_params": {"bogus_arg": 1}},
+                     "bad workload_params: unknown parameter key.*'bogus_arg'",
+                     id="unknown-key"),
+        *WORKLOAD_PROBES,
+    ])
+    def test_bad_workload_params_exits_2_through_the_cli(self, tmp_path, doc,
+                                                         message):
+        """Bad workload parameters (and the top-level software-prefetch
+        distance) exit 2 through the CLI with one line naming the field,
+        the value and the range."""
+        import io
+
+        from repro.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(three_level_doc(), **doc)))
+        out = io.StringIO()
+        assert main(["run", "--scenario", str(path)], out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert re.search(message, lines[0])
 
     def test_invalid_json_text(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):

@@ -364,6 +364,14 @@ class TestCacheSelfHealing:
         corrupt_record(path)
         self.heal(cache, spec, "truncated")
 
+    def test_non_utf8_record(self, cache):
+        # Bytes that do not decode at all read as a torn record, not as a
+        # traceback that kills the sweep.
+        spec = tiny_spec()
+        path, _ = self.seeded(cache, spec)
+        path.write_bytes(b"\xff\xfe{")
+        self.heal(cache, spec, "truncated")
+
     def test_digest_collision_record(self, cache):
         # Another spec's (valid!) record sitting at this spec's path —
         # the shape a digest collision or a botched copy would produce.

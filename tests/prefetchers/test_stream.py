@@ -127,7 +127,7 @@ class TestConfigValidation:
         ("train_threshold", 16),
     ])
     def test_out_of_range_is_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"stream {field} must be"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             StreamPrefetcherConfig(**{field: value})
 
     def test_threshold_bounds_are_valid(self):

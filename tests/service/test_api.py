@@ -8,6 +8,7 @@ import pytest
 
 from svc_helpers import http, poll_job, scenario_digest, tiny_scenario
 
+from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.sweep import ResultCache
 from repro.service.api import (
     API_VERSION,
@@ -32,6 +33,34 @@ def api(tmp_path):
 
 def post_job(api, doc):
     return api.handle("POST", "/v1/jobs", json.dumps(doc).encode())
+
+
+def merged(base, update):
+    """``base`` with ``update`` merged in, nested mappings key by key."""
+    if not (isinstance(base, dict) and isinstance(update, dict)):
+        return update
+    return {**base, **{key: merged(base.get(key), value)
+                       for key, value in update.items()}}
+
+
+#: Where a scenario document's sections live in a RunSpec document.
+RUNSPEC_SECTIONS = {"imp": "imp_config", "system": "base_config"}
+
+
+def assert_400_in_both_forms(api, update, message):
+    """A valid tiny scenario given ``update``'s bad values is refused with
+    a 400 naming ``message`` in the scenario form, and with its field-level
+    part in the runspec form, where the same values sit in the full
+    configs of a valid run."""
+    body = ScenarioSpec.from_dict(tiny_scenario(1)).to_runspec().to_dict()
+    runspec = merged(body, {RUNSPEC_SECTIONS.get(key, key): value
+                            for key, value in update.items()})
+    for doc, expected in ((dict(tiny_scenario(1), **update), message),
+                          ({"runspec": runspec}, message.split(": ")[-1])):
+        status, envelope, _ = post_job(api, doc)
+        assert status == 400, envelope
+        assert envelope["error"]["code"] == "invalid-scenario"
+        assert expected in envelope["error"]["message"]
 
 
 class TestProbesAndRegistries:
@@ -160,19 +189,48 @@ class TestSubmission:
          "bad system.noc: hop_latency must be non-negative"),
         ({"noc": {"header_flits": -1}},
          "bad system.noc: header_flits must be non-negative"),
+        ({"dram": {"latency_cycles": -100}},
+         "latency_cycles must be non-negative (an int >= 0, below 2**31), "
+         "got -100"),
+        ({"frequency_ghz": 0}, "bad system: frequency_ghz must be positive"),
+        ({"rob_size": 0}, "bad system: rob_size must be positive"),
+        ({"perfect_prefetch_lead": -5},
+         "bad system: perfect_prefetch_lead must be non-negative"),
+        ({"l2_assoc": 8.0},
+         "l2_assoc must be positive (an int > 0, below 2**31), got 8.0"),
+        ({"dram": {"bandwidth_bytes_per_cycle": 0}},
+         "bad system.dram: bandwidth_bytes_per_cycle must be positive"),
+        ({"dram": {"access_granularity": 0}},
+         "bad system.dram: access_granularity must be positive"),
+        ({"dram": {"model": "banked", "banks_per_rank": 0}},
+         "bad system.dram: banks_per_rank must be positive"),
+        ({"noc": {"hop_latency": 2 ** 63}},
+         "bad system.noc: hop_latency must be non-negative (an int >= 0, "
+         f"below 2**31), got {2 ** 63}"),
+        ({"l1d": {"size_bytes": 2 ** 63, "associativity": 4}},
+         "bad system.l1d: size_bytes must be positive"),
+        ({"hierarchy": {"levels": [1, 2]}},
+         "bad system.hierarchy: bad levels entry 1"),
+        ({"hierarchy": {"levels": "ab"}},
+         "bad system.hierarchy: levels must be a list, got 'ab'"),
+        ({"hierarchy": {"levels": {"a": 1}}},
+         "bad system.hierarchy: levels must be a list, got {'a': 1}"),
     ], ids=["sector-negative", "sector-not-dividing", "hit-latency",
             "noc-bandwidth-zero", "noc-hop-latency-negative",
-            "noc-header-negative"])
+            "noc-header-negative", "dram-latency", "frequency-zero",
+            "rob-size-zero", "prefetch-lead", "l2-assoc-float",
+            "dram-bandwidth-zero", "dram-granularity-zero",
+            "dram-banks-zero", "noc-hop-latency-huge", "l1d-size-huge",
+            "hierarchy-levels-not-mappings", "hierarchy-levels-string",
+            "hierarchy-levels-mapping"])
     def test_bad_system_is_400(self, api, system, message):
-        doc = dict(tiny_scenario(1), system=system)
-        status, envelope, _ = post_job(api, doc)
-        assert status == 400
-        assert envelope["error"]["code"] == "invalid-scenario"
-        assert message in envelope["error"]["message"]
+        assert_400_in_both_forms(api, {"system": system}, message)
 
     @pytest.mark.parametrize("n_cores, message", [
-        ("four", "n_cores must be an integer, not 'four'"),
-        (4.0, "n_cores must be an integer, not 4.0"),
+        ("four", "n_cores must be a positive perfect square (1, 4, 16, 64, "
+                 "...) for a 2-D mesh, got 'four'"),
+        (4.0, "n_cores must be a positive perfect square (1, 4, 16, 64, "
+              "...) for a 2-D mesh, got 4.0"),
         (3, "n_cores must be a positive perfect square"),
     ], ids=["string", "float", "not-square"])
     def test_bad_n_cores_is_400(self, api, n_cores, message):
@@ -188,15 +246,45 @@ class TestSubmission:
          "l1_sector_size must be positive"),
         ({"confidence_threshold": 9}, "confidence_threshold must be in"),
         ({"rw_write_threshold": 4}, "rw_write_threshold must not exceed"),
-        ({"stream": {"table_size": 0}}, "stream table_size must be positive"),
+        ({"stream": {"table_size": 0}},
+         "bad imp.stream: table_size must be positive"),
+        ({"pt_size": 16.5}, "bad imp: pt_size must be positive (an int > 0, "
+                            "below 2**31), got 16.5"),
+        ({"pt_size": True}, "bad imp: pt_size must be positive (an int > 0, "
+                            "below 2**31), got True"),
+        ({"throttle_low_ratio": 5}, "bad imp: throttle_low_ratio must be a "
+                                    "finite number in [0, 1], got 5"),
+        ({"shift_values": "abc"}, "bad imp: shift_values must be a "
+                                  "non-empty list of ints, got 'abc'"),
     ], ids=["pt-zero", "l1-sector-zero", "confidence-high",
-            "rw-threshold-high", "stream-table-zero"])
+            "rw-threshold-high", "stream-table-zero", "pt-float", "pt-bool",
+            "ratio-high", "shift-values-string"])
     def test_bad_imp_is_400(self, api, imp, message):
-        doc = dict(tiny_scenario(1), imp=imp)
-        status, envelope, _ = post_job(api, doc)
-        assert status == 400
-        assert envelope["error"]["code"] == "invalid-scenario"
-        assert message in envelope["error"]["message"]
+        assert_400_in_both_forms(api, {"imp": imp}, message)
+
+    @pytest.mark.parametrize("update, message", [
+        ({"workload_params": {"n_indices": 0}},
+         "bad workload_params: n_indices must be positive (an int > 0, "
+         "below 2**31), got 0"),
+        ({"workload_params": {"n_indices": 2 ** 63}},
+         "n_indices must be positive (an int > 0, below 2**31), "
+         f"got {2 ** 63}"),
+        ({"workload_params": {"n_indices": -5}}, "n_indices must be positive"),
+        ({"workload_params": {"n_indices": "abc"}}, "got 'abc'"),
+        ({"workload_params": {"n_indices": 256.0}}, "got 256.0"),
+        ({"workload_params": {"n_data": 0}}, "n_data must be positive"),
+        ({"workload_params": {"seed": "x"}},
+         "seed must be non-negative (an int >= 0, below 2**31), got 'x'"),
+        ({"workload_params": {"bogus": 1}},
+         "unknown parameter key(s) 'bogus'"),
+        ({"sw_prefetch_distance": -3},
+         "sw_prefetch_distance must be positive (an int > 0, below 2**31), "
+         "got -3"),
+    ], ids=["n-indices-zero", "n-indices-huge", "n-indices-negative", "n-indices-string",
+            "n-indices-float", "n-data-zero", "seed-string", "unknown-key",
+            "sw-distance-negative"])
+    def test_bad_workload_params_is_400(self, api, update, message):
+        assert_400_in_both_forms(api, update, message)
 
     def test_non_object_body_is_400(self, api):
         status, envelope, _ = api.handle("POST", "/v1/jobs", b"[1, 2]")

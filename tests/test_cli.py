@@ -1,6 +1,8 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import glob
 import io
+import json
 
 import pytest
 
@@ -177,6 +179,22 @@ class TestScenario:
             f"error: $REPRO_NOC_KERNEL: unknown NoC kernel {name!r}; "
             f"valid NoC kernels: reference, compiled"]
 
+    @pytest.mark.parametrize("plan, message", [
+        ({"kill": "x"}, "kill must be a finite number in [0, 1], got 'x'"),
+        ({"seed": "x"}, "seed must be non-negative"),
+        ({"max_faults_per_spec": 1.5}, "max_faults_per_spec must be"),
+        ({"kill": 0.5, "stall": 0.6}, "must sum to at most 1"),
+    ], ids=["kill-string", "seed-string", "max-faults-float", "sum-high"])
+    def test_bad_fault_plan_is_a_clean_error(self, plan, message,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps(plan))
+        out = io.StringIO()
+        assert main(["run", "--scenario", self.SCENARIO], out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: $REPRO_FAULTS: ")
+        assert message in lines[0]
+
     def test_three_level_scenario_runs(self):
         output = run_cli(
             "run", "--scenario", "examples/scenarios/imp_l2_three_level.json",
@@ -297,6 +315,21 @@ class TestSweepScenarioDir:
         output = run_cli("sweep", "--scenario-dir", "examples/scenarios",
                          "--cache-dir", cache_dir)
         assert "0 simulated" in output
+
+    def test_scenario_dir_converges_under_injected_faults(self, tmp_path,
+                                                          monkeypatch):
+        """The corpus swept cold while ``$REPRO_FAULTS`` kills workers and
+        raises transients across the pool: retries and pool rebuilds
+        converge to exit 0 with every pinned fingerprint matching."""
+        monkeypatch.setenv("REPRO_FAULTS", '{"seed":7,"kill":0.25,'
+                           '"transient":0.35,"max_faults_per_spec":1}')
+        output = run_cli("sweep", "--scenario-dir", "examples/scenarios",
+                         "--jobs", "2", "--timeout", "120", "--retries", "4",
+                         "--backoff", "0.1",
+                         "--cache-dir", str(tmp_path / "cache"))
+        pinned = glob.glob("examples/scenarios/*.fingerprint.json")
+        assert output.count("fingerprint ok") == len(pinned) > 0
+        assert "MISMATCH" not in output
 
     def test_scenario_dir_mismatch_fails(self, tmp_path):
         import json
